@@ -20,9 +20,10 @@ root so every PR leaves a perf data point behind:
   ratio, round/attempt counts and wall time, plus the stage's total cost
   relative to the detection campaign.
 * **hotpath** (``--hotpath`` / ``make bench-hotpath``): the scaling
-  workload at ``jobs=1`` with cold caches, recording programs/sec, SAT
-  invocations and per-cache hit rates against the pre-PR-7 constants,
-  plus a seeded jobs=1 vs jobs=4 byte-identical-reports check.
+  workload at ``jobs=1`` with cold caches, recording programs/sec against
+  the constants recorded at commit b225044, SAT invocations and bit-blast
+  misses against their ratchets and the bit-blast memo's hit rate, plus a
+  seeded jobs=1 vs jobs=4 byte-identical-reports check.
 * **stateful** (``--stateful`` / ``make bench-stateful``): a seeded
   register-heavy campaign replayed as 3-packet sequences — sequences/sec,
   state-divergence findings, per-defect detection of the stateful seeded
@@ -73,7 +74,6 @@ if _SRC not in sys.path:
 
 from repro import smt  # noqa: E402
 from repro.core.campaign import Campaign, CampaignConfig  # noqa: E402
-from repro.core.validation import validation_cache_stats  # noqa: E402
 
 #: The reference workload.  The platform list is pinned to the PR 1
 #: measurement (p4c + the two paper back ends) so the before/after numbers
@@ -136,6 +136,10 @@ HOTPATH_BASELINE = {
     ),
 }
 HOTPATH_TARGET_SPEEDUP = 3.0
+#: Deterministic work ratchets on the same workload: SAT calls and bit-blast
+#: encoding misses may not grow past what the current engine does.
+HOTPATH_MAX_SAT_INVOCATIONS = 937
+HOTPATH_MAX_BITBLAST_MISSES = 11551
 #: Size of the seeded campaign used for the jobs=1 vs jobs=4 byte-identical
 #: report check (shared-prefix validation must not perturb determinism).
 HOTPATH_DETERMINISM_PROGRAMS = 25
@@ -185,7 +189,6 @@ def run_reference() -> dict:
         "semantic_findings": stats.semantic_findings,
         "oracle_errors": stats.oracle_errors,
         "solver": smt.STATS.snapshot(),
-        "validation_caches": validation_cache_stats(),
         "intern_table_terms": smt.intern_table_size(),
         "simplify_cache_entries": smt.simplify_cache_size(),
         #: Per-unit counter deltas merged back from the engine — under
@@ -237,22 +240,18 @@ def run_backends() -> dict:
 
 
 def _reset_process_caches() -> None:
-    """Cold-start every process-wide cache so scaling runs are comparable.
+    """Cold-start every process-wide memo so scaling runs are comparable.
 
     All job counts run from this parent process and fork-based pool
     workers inherit its state, so without a reset the first run would pay
-    every cache miss and later runs would ride its warm reparse/interp/
-    testgen caches and intern tables — the curve would measure cache
-    warmth, not worker count.
+    every miss and later runs would ride its warm intern table, simplify
+    and equivalence memos — the curve would measure memo warmth, not
+    worker count.
     """
-
-    from repro.core.engine import reset_worker_state
-    from repro.core.validation import clear_validation_caches
 
     smt.STATS.reset()
     smt.clear_term_caches()
-    clear_validation_caches()
-    reset_worker_state()
+    smt.clear_equivalence_cache()
 
 
 def run_scaling(programs: int, jobs_list: tuple) -> dict:
@@ -307,7 +306,7 @@ def run_scaling(programs: int, jobs_list: tuple) -> dict:
     if cores < max(jobs_list):
         payload["note"] = (
             f"wall-clock scaling is bounded by the {cores} CPU core(s) visible "
-            "to this runner; the engine shards (program, platform) units across "
+            "to this runner; the engine shards program units across "
             "the pool, so on an N-core machine the curve tracks N up to the "
             "job count (determinism is asserted above regardless)"
         )
@@ -318,10 +317,6 @@ def _cache_report(counters: dict) -> dict:
     """Hit/miss/rate triples for every campaign-lifetime cache."""
 
     pairs = {
-        "reparse": ("reparse_hits", "reparse_misses"),
-        "interp": ("interp_hits", "interp_misses"),
-        "testgen": ("testgen_hits", "testgen_misses"),
-        "prefix": ("prefix_hits", "prefix_misses"),
         "bitblast": ("solver_bitblast_hits", "solver_bitblast_misses"),
     }
     report = {}
@@ -341,7 +336,7 @@ def run_hotpath(programs: int) -> dict:
     """Measure the validation hot path: throughput, solver load, cache yield.
 
     One cold-start ``jobs=1`` campaign gives the deterministic counters the
-    CI gate diffs (SAT invocations, per-cache hit rates); a smaller seeded
+    CI gate ratchets (SAT invocations, bit-blast misses); a smaller seeded
     campaign then runs at ``jobs=1`` and ``jobs=4`` and the two report
     lists must serialize byte-identically — shared-prefix validation and
     batched solving must never leak scheduling into the findings.
@@ -374,11 +369,11 @@ def run_hotpath(programs: int) -> dict:
 
     byte_identical = seeded_reports(jobs=1) == seeded_reports(jobs=4)
 
+    bitblast_misses = counters.get("solver_bitblast_misses", 0)
     meets_target = (
         speedup >= HOTPATH_TARGET_SPEEDUP
-        and sat_invocations < HOTPATH_BASELINE["sat_invocations"]
-        and caches["reparse"]["hits"] > 0
-        and caches["interp"]["hits"] > 0
+        and sat_invocations <= HOTPATH_MAX_SAT_INVOCATIONS
+        and bitblast_misses <= HOTPATH_MAX_BITBLAST_MISSES
         and caches["bitblast"]["hits"] > 0
         and byte_identical
     )
@@ -392,6 +387,9 @@ def run_hotpath(programs: int) -> dict:
         "programs_per_sec": round(programs_per_sec, 2),
         "speedup_vs_baseline": round(speedup, 2),
         "sat_invocations": sat_invocations,
+        "max_sat_invocations": HOTPATH_MAX_SAT_INVOCATIONS,
+        "bitblast_misses": bitblast_misses,
+        "max_bitblast_misses": HOTPATH_MAX_BITBLAST_MISSES,
         "batched_checks": counters.get("solver_batched_checks", 0),
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
         "caches": caches,
@@ -606,8 +604,9 @@ def _state_divergence_probe() -> str:
     divergence; empty means the state oracle missed the defect).
     """
 
-    from repro.compiler import CompilerOptions, compile_prefix
+    from repro.compiler import CompilerOptions, compile_front_midend
     from repro.core.reduce.oracles import packet_mismatch
+    from repro.core.testgen import build_test_sequences
     from repro.p4 import parse_program
     from repro.targets import BACKEND_REGISTRY
 
@@ -616,19 +615,9 @@ def _state_divergence_probe() -> str:
     options = CompilerOptions(
         enabled_bugs={"ebpf_register_write_drops_high_byte"}, target="ebpf"
     )
-    result = compile_prefix(program, STATEFUL_PROBE_SOURCE, options)
-    executable = spec.target_cls(options).link(result)
-    return (
-        packet_mismatch(
-            program,
-            STATEFUL_PROBE_SOURCE,
-            executable,
-            spec,
-            2,
-            STATEFUL_SEQUENCE_LENGTH,
-        )
-        or ""
-    )
+    executable = spec.target_cls(options).link(compile_front_midend(program.clone(), options))
+    sequences = build_test_sequences(program, 2, STATEFUL_SEQUENCE_LENGTH)
+    return packet_mismatch(program, sequences, executable, spec) or ""
 
 
 def run_stateful() -> dict:
@@ -723,11 +712,13 @@ def run_stateful() -> dict:
 #: 3 platforms, run once serially (the byte-identity reference) and once
 #: per worker count on the coordinator/worker service over localhost TCP.
 #: The two-worker run additionally kills one worker mid-lease (``os._exit``
-#: after 10 units) so the recorded ``leases_reclaimed`` proves the
-#: reclaim/merge path, not just the happy path.
+#: after 3 programs, inside its second 2-program lease) so the recorded
+#: ``leases_reclaimed`` proves the reclaim/merge path, not just the happy
+#: path.
 DISTRIBUTED_PROGRAMS = 40
 DISTRIBUTED_WORKERS = (1, 2)
-DISTRIBUTED_FAIL_AFTER_UNITS = 10
+DISTRIBUTED_LEASE_PROGRAMS = 2
+DISTRIBUTED_FAIL_AFTER_PROGRAMS = 3
 
 
 def run_distributed(programs: int = DISTRIBUTED_PROGRAMS) -> dict:
@@ -764,10 +755,10 @@ def run_distributed(programs: int = DISTRIBUTED_PROGRAMS) -> dict:
     deterministic = True
     for workers in DISTRIBUTED_WORKERS:
         _reset_process_caches()
-        fault = {0: DISTRIBUTED_FAIL_AFTER_UNITS} if workers >= 2 else None
+        fault = {0: DISTRIBUTED_FAIL_AFTER_PROGRAMS} if workers >= 2 else None
         executor = DistributedExecutor(
             workers,
-            lease_units=4,
+            lease_units=DISTRIBUTED_LEASE_PROGRAMS,
             lease_ttl_s=5.0,
             heartbeat_s=0.5,
             fail_after=fault,
@@ -1010,8 +1001,8 @@ def main(argv=None) -> int:
                              "detections lost vs. benchmarks/detection_baseline.json")
     parser.add_argument("--hotpath", action="store_true",
                         help="record the validation hot-path section: jobs=1 "
-                             "throughput, SAT invocations, per-cache hit rates "
-                             "and the jobs=1 vs jobs=4 determinism check")
+                             "throughput, SAT invocation and bit-blast miss "
+                             "ratchets, and the jobs=1 vs jobs=4 determinism check")
     parser.add_argument("--distributed", action="store_true",
                         help="record the coordinator/worker smoke: units/sec "
                              "per fleet size, leases reclaimed under a worker "
@@ -1122,7 +1113,9 @@ def main(argv=None) -> int:
             f"({hotpath['speedup_vs_baseline']}x vs "
             f"{hotpath['before']['programs_per_sec']}), "
             f"{hotpath['sat_invocations']} SAT invocations "
-            f"(was {hotpath['before']['sat_invocations']}), "
+            f"(max {hotpath['max_sat_invocations']}), "
+            f"{hotpath['bitblast_misses']} bit-blast misses "
+            f"(max {hotpath['max_bitblast_misses']}), "
             f"byte-identical jobs 1 vs 4: "
             f"{hotpath['reports_byte_identical_jobs1_vs_jobs4']}"
         )

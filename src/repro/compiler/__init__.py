@@ -38,13 +38,7 @@ from repro.compiler.options import CompilerOptions
 from repro.compiler.bugs import BUG_CATALOG, SeededBug, bugs_by_kind, bugs_by_location
 from repro.compiler.coverage import CoverageMap, merge_coverage_dicts, program_features
 from repro.compiler.pass_manager import CompilationResult, PassManager, PassSnapshot
-from repro.compiler.compiler import (
-    P4Compiler,
-    clear_prefix_cache,
-    compile_front_midend,
-    compile_prefix,
-    prefix_cache_stats,
-)
+from repro.compiler.compiler import P4Compiler, compile_front_midend
 
 __all__ = [
     "CompilerCrash",
@@ -62,7 +56,4 @@ __all__ = [
     "PassSnapshot",
     "P4Compiler",
     "compile_front_midend",
-    "compile_prefix",
-    "prefix_cache_stats",
-    "clear_prefix_cache",
 ]

@@ -8,10 +8,8 @@ apply their own target-specific passes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
-from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND
 from repro.compiler.frontend import (
     FRONTEND_PASSES,
     TypeChecking,
@@ -58,85 +56,3 @@ def compile_front_midend(
     """Convenience wrapper: compile with the default pipeline."""
 
     return P4Compiler(options).compile(program)
-
-
-# ----------------------------------------------------------------------
-# Shared-prefix compilation memo
-# ----------------------------------------------------------------------
-#
-# Every platform of a campaign runs the same front/mid-end prefix over the
-# same generated program: the open-toolchain unit to validate it, and each
-# closed back end before its own lowering.  The prefix is a pure function
-# of (source, the prefix-relevant enabled defects, skipped passes, the
-# emit flag) — back ends never influence it (no pass reads
-# ``options.target``, and backend-located defects are consulted only after
-# the prefix, in :mod:`repro.targets`) — so the compilation is memoised
-# process-wide and the resulting snapshots are shared by every consumer.
-
-_PREFIX_MEMO: "OrderedDict[tuple, CompilationResult]" = OrderedDict()
-_PREFIX_MEMO_LIMIT = 32
-_PREFIX_STATS = {"prefix_hits": 0, "prefix_misses": 0}
-
-
-def _prefix_relevant_bugs(enabled_bugs: Iterable[str]) -> FrozenSet[str]:
-    """The subset of enabled defects that can affect the front/mid end.
-
-    Backend-located defects only fire in the targets' own lowering, so two
-    option sets that differ only there share a prefix.  Identifiers not in
-    the catalog are conservatively kept in the key.
-    """
-
-    return frozenset(
-        bug_id
-        for bug_id in enabled_bugs
-        if (entry := BUG_CATALOG.get(bug_id)) is None
-        or entry.location != LOCATION_BACKEND
-    )
-
-
-def compile_prefix(
-    program: ast.Program, source: str, options: CompilerOptions
-) -> CompilationResult:
-    """Compile the shared front/mid-end prefix, memoised process-wide.
-
-    ``source`` must be the emitted source of ``program`` (the generator
-    stage already has it): the string is the program's identity, exactly
-    as in the validator's snapshot caches.  The returned result is shared
-    between callers and must be treated as **read-only** — the validator,
-    the backend lowerings and the test generator all only read it.  Note
-    ``result.options`` records the options of whichever caller compiled
-    first; consumers that care about backend defect flags (the targets)
-    keep using their own options, never the result's.
-    """
-
-    key = (
-        source,
-        _prefix_relevant_bugs(options.enabled_bugs),
-        frozenset(options.skip_passes),
-        options.emit_after_each_pass,
-    )
-    cached = _PREFIX_MEMO.get(key)
-    if cached is not None:
-        _PREFIX_MEMO.move_to_end(key)
-        _PREFIX_STATS["prefix_hits"] += 1
-        return cached
-    _PREFIX_STATS["prefix_misses"] += 1
-    result = P4Compiler(options).compile(program.clone())
-    _PREFIX_MEMO[key] = result
-    while len(_PREFIX_MEMO) > _PREFIX_MEMO_LIMIT:
-        _PREFIX_MEMO.popitem(last=False)
-    return result
-
-
-def prefix_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters (and an entry gauge) for the prefix memo."""
-
-    return dict(_PREFIX_STATS, prefix_entries=len(_PREFIX_MEMO))
-
-
-def clear_prefix_cache() -> None:
-    """Drop the prefix memo (tests, benchmarks, pool recycling)."""
-
-    _PREFIX_MEMO.clear()
-    _PREFIX_STATS["prefix_hits"] = 0
-    _PREFIX_STATS["prefix_misses"] = 0

@@ -14,12 +14,13 @@ Two modes are provided:
 
 Since the staged-engine refactor this module is a thin facade: the actual
 pipeline lives in :mod:`repro.core.engine`, which decomposes the campaign
-into ``(program_index, platform)`` work units, shards them across worker
-processes when ``CampaignConfig.jobs > 1``, persists every unit outcome to
-a JSONL artifact store when ``CampaignConfig.artifact_path`` is set (so an
-interrupted campaign resumes where it stopped), and merges results
-deterministically — a fixed seed files byte-identical bug reports whether
-the campaign ran on one core or eight.
+into one work unit per generated program (checked once, on every
+platform), shards the programs across worker processes when
+``CampaignConfig.jobs > 1``, persists every ``(program_index, platform)``
+outcome to a JSONL artifact store when ``CampaignConfig.artifact_path`` is
+set (so an interrupted campaign resumes where it stopped), and merges
+results deterministically — a fixed seed files byte-identical bug reports
+whether the campaign ran on one core or eight.
 
 Two behavioural notes relative to the historical serial loop:
 
@@ -68,12 +69,13 @@ class CampaignConfig:
     sequence_length: int = 3
     platforms: Sequence[str] = ("p4c", "bmv2", "tofino")
     generator: Optional[GeneratorConfig] = None
-    #: Worker processes to shard ``(program, platform)`` units across.
-    #: ``1`` runs everything in-process (no pool).
+    #: Worker processes to shard the programs across (each program is
+    #: checked on all its platforms in one process).  ``1`` runs
+    #: everything in-process (no pool).
     jobs: int = 1
-    #: JSONL artifact store path.  When set, every finished unit is
-    #: appended there and a re-run with the same config resumes from the
-    #: completed units instead of recomputing them.
+    #: JSONL artifact store path.  When set, every finished ``(program,
+    #: platform)`` outcome is appended there and a re-run with the same
+    #: config resumes from them instead of recomputing them.
     artifact_path: Optional[str] = None
     #: Triage the findings: after the merge, shrink every deduplicated
     #: report's trigger program with the delta-debugging reducer (the

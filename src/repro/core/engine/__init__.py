@@ -1,12 +1,13 @@
 """Staged campaign engine: parallel, resumable, deterministic bug-finding.
 
-The engine decomposes a campaign into independent ``(program_index,
-platform)`` work units, runs them through explicit stages
-(``generate → compile(platform) → oracles → report``) on a pluggable
-executor (serial, or a ``multiprocessing`` pool sharding units across
-cores), persists every outcome to a JSONL artifact store for crash-safe
-resume, and merges results deterministically so serial and parallel runs
-file byte-identical bug reports.
+The engine decomposes a campaign into independent work units, one per
+generated program, runs each through explicit stages (``generate →
+compile → oracles`` on every platform the unit names) on a pluggable
+executor (serial, or a ``multiprocessing`` pool sharding programs across
+cores), persists every ``(program_index, platform)`` outcome to a JSONL
+artifact store for crash-safe resume, and merges results
+deterministically so serial and parallel runs file byte-identical bug
+reports.
 
 With ``reduce=True`` a **triage stage** runs after the merge: every
 deduplicated report becomes one :class:`TriageUnit` that shrinks the
@@ -18,7 +19,7 @@ and artifact store as the generation units.
 Three interchangeable transports sit behind one seam
 (``run_units(units, kind, sink, journal)``): :class:`SerialExecutor`,
 :class:`ProcessPoolExecutor`, and :class:`DistributedExecutor` — a
-campaign coordinator leasing contiguous unit ranges to a fleet of worker
+campaign coordinator leasing contiguous program ranges to a fleet of worker
 processes over line-JSON TCP (:mod:`repro.core.engine.protocol`), with
 heartbeat-based lease reclaim, streamed outcome shards, and incremental
 merge.  All three file byte-identical reports.
@@ -50,12 +51,13 @@ from repro.core.engine.merge import (
     TriageSource,
     apply_triage,
 )
-from repro.core.engine.stages import reset_worker_state, run_triage_unit, run_unit
+from repro.core.engine.stages import run_triage_unit, run_unit
 from repro.core.engine.store import ArtifactStore, campaign_key, triage_key
 from repro.core.engine.units import (
     TRIAGE_REDUCED,
     TRIAGE_UNREPRODUCED,
     FindingRecord,
+    ProgramOutcome,
     TriageOutcome,
     TriageUnit,
     UnitOutcome,
@@ -75,6 +77,7 @@ __all__ = [
     "OutcomeDedup",
     "OutcomeMerger",
     "ProcessPoolExecutor",
+    "ProgramOutcome",
     "SerialExecutor",
     "TRIAGE_REDUCED",
     "TRIAGE_UNREPRODUCED",
@@ -87,7 +90,6 @@ __all__ = [
     "build_units",
     "campaign_key",
     "make_executor",
-    "reset_worker_state",
     "run_triage_unit",
     "run_unit",
     "run_worker",

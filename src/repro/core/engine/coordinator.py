@@ -6,13 +6,13 @@ serves the line-oriented JSON protocol of :mod:`repro.core.engine.protocol`
 on a localhost (or LAN) TCP socket:
 
 * **lease** — a worker is granted a contiguous range of not-yet-done unit
-  indexes, serialized in full (units are self-contained; programs are
-  regenerated worker-side from per-index seeds).  Backpressure is enforced
+  indexes, serialized in full (units are self-contained; a work unit is
+  one program, regenerated worker-side from its per-index seed).  Backpressure is enforced
   here: a worker already holding ``max_inflight_leases`` live leases, or a
   coordinator whose outcome buffer is above ``max_outstanding``, gets a
   ``retry_in`` backoff instead of work.
-* **outcome** — streamed back one line per finished unit, the same wire
-  format as the JSONL artifact store.  Outcomes pass through the shared
+* **outcome** — streamed back one line per finished unit (a work unit's
+  line holds its per-platform outcomes, each in the JSONL store's format).  Outcomes pass through the shared
   first-write-wins :class:`~repro.core.engine.store.OutcomeDedup` (a
   reclaimed lease's units run at least once *somewhere*, possibly twice),
   then hit the persistence sink and the consumer queue.  Streaming an
@@ -61,7 +61,9 @@ from repro.core.engine.units import (
 #: time (a divergent program can cost 100x the median): heartbeats renew a
 #: lease between units and while the reducer runs, but a worker stuck
 #: inside one oracle call for longer than the TTL loses the lease.
-DEFAULT_LEASE_UNITS = 4
+#: A work unit is a whole program (every platform of it), so the default
+#: lease is one program.
+DEFAULT_LEASE_UNITS = 1
 DEFAULT_LEASE_TTL_S = 120.0
 DEFAULT_HEARTBEAT_S = 5.0
 DEFAULT_MAX_INFLIGHT_LEASES = 2

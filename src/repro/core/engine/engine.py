@@ -4,11 +4,13 @@ This is the orchestration layer between the campaign facade
 (:mod:`repro.core.campaign`) and the worker stages
 (:mod:`repro.core.engine.stages`):
 
-1. expand the campaign spec into the deterministic unit list
-   (``program_index`` × platform),
-2. serve already-completed units from the JSONL artifact store (resume),
-3. shard the remainder over the chosen executor,
-4. append every fresh outcome to the store as it completes, and
+1. expand the campaign spec into the deterministic unit list (one unit
+   per program, naming every platform),
+2. serve already-completed ``(program, platform)`` outcomes from the JSONL
+   artifact store (resume) and drop them from their program's unit,
+3. shard the remaining programs over the chosen executor,
+4. append every fresh per-platform outcome to the store as its program
+   completes, and
 5. merge all outcomes — reused and fresh — into deduplicated bug reports
    and statistics, independent of completion order.
 
@@ -49,12 +51,12 @@ from repro.core.engine.units import (
     KIND_TRIAGE,
     STATUS_FINDING,
     TRIAGE_REDUCED,
+    ProgramOutcome,
     TriageOutcome,
     TriageUnit,
     UnitOutcome,
     WorkUnit,
     build_units,
-    platform_rank,
 )
 from repro.core.engine.coordinator import (
     DEFAULT_LEASE_TTL_S,
@@ -90,7 +92,7 @@ class CampaignSpec:
     #: campaign.  Overrides both ``jobs`` and ``distributed``.
     serve: Optional[str] = None
     #: Lease geometry for the distributed transports (ignored otherwise):
-    #: units per lease, and how long a silent lease lives before the
+    #: programs per lease, and how long a silent lease lives before the
     #: coordinator reclaims and re-issues its unfinished range.
     lease_units: int = DEFAULT_LEASE_UNITS
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S
@@ -198,17 +200,17 @@ def _detect_bug(task: _MatrixTask) -> Dict[str, object]:
     technique = ""
     attempts = 0
     for index in range(task.programs_per_bug):
-        unit = WorkUnit(
-            program_index=index,
-            platform=platform,
-            generator=generator,
-            enabled_bugs=(task.bug_id,),
-            max_tests=task.max_tests,
-            sequence_length=task.sequence_length,
-        )
-        outcome = completed.get(unit.key)
+        outcome = completed.get((index, platform))
         if outcome is None:
-            outcome = run_unit(unit)
+            unit = WorkUnit(
+                program_index=index,
+                platforms=(platform,),
+                generator=generator,
+                enabled_bugs=(task.bug_id,),
+                max_tests=task.max_tests,
+                sequence_length=task.sequence_length,
+            )
+            (outcome,) = run_unit(unit).outcomes
             fresh.append(outcome)
         attempts = index + 1
         if outcome.status == STATUS_FINDING:
@@ -268,67 +270,106 @@ class CampaignEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> CampaignStatistics:
-        if self.spec.schedule:
-            return self._run_scheduled()
         spec = self.spec
-        units = build_units(
-            programs=spec.programs,
-            platforms=tuple(spec.platforms),
-            generator=spec.generator,
-            enabled_bugs=tuple(spec.enabled_bugs),
-            max_tests=spec.max_tests,
-            sequence_length=spec.sequence_length,
-        )
-        key = campaign_key(
-            spec.generator,
-            spec.enabled_bugs,
-            spec.platforms,
-            spec.max_tests,
-            sequence_length=spec.sequence_length,
-        )
-        completed: Dict[Tuple[int, str], UnitOutcome] = {}
-        if self.store is not None:
-            stored = self.store.load(key)
-            completed = {
-                unit.key: stored[unit.key] for unit in units if unit.key in stored
-            }
-        pending = [unit for unit in units if unit.key not in completed]
-
-        statistics = CampaignStatistics(
-            programs_generated=spec.programs,
-            units_total=len(units),
-            units_reused=len(completed),
-        )
+        statistics = CampaignStatistics(programs_generated=spec.programs)
         merger = OutcomeMerger(spec.enabled_bugs)
-        # Reused outcomes contribute their findings but not their counters:
-        # CampaignStatistics.counters reports work performed by *this* run,
-        # and the store units' solving happened in an earlier one.
-        for outcome in completed.values():
-            merger.add(replace(outcome, counters={}), statistics)
-
         executor = self._make_executor()
-        sink = None
-        journal = None
-        if self.store is not None:
-            sink = lambda outcome: self.store.append(key, outcome)  # noqa: E731
-            journal = lambda event: self.store.append_lease_event(key, event)  # noqa: E731
-        # The transport persists (sink) before the engine merges; under the
-        # distributed executor the sink runs on the coordinator's service
-        # threads while the merge stays here, on the consuming thread.
-        for outcome in executor.run_units(pending, sink=sink, journal=journal):
-            merger.add(outcome, statistics)
+        if spec.schedule:
+            arm_by_index = self._run_scheduled(executor, merger, statistics)
+        else:
+            self._run_round(
+                executor, spec.generator, 0, spec.programs, "campaign", merger, statistics
+            )
         self._fold_service_counters(executor, statistics)
-
         statistics = merger.finalize(statistics)
+        if spec.schedule:
+            self._annotate_arm_provenance(statistics, merger.provenance, arm_by_index)
         if spec.reduce:
             self._run_triage(executor, merger.provenance, statistics)
         return statistics
+
+    def _run_round(
+        self,
+        executor,
+        generator: GeneratorConfig,
+        start: int,
+        count: int,
+        scope: str,
+        merger: OutcomeMerger,
+        statistics: CampaignStatistics,
+    ) -> List[UnitOutcome]:
+        """Check programs ``start .. start + count - 1``; return their outcomes.
+
+        Outcomes already in the store under the round's key are merged
+        without their counters (``CampaignStatistics.counters`` reports work
+        performed by *this* run) and each program is scheduled for its
+        missing platforms only.  The transport persists every fresh
+        program's per-platform outcomes (sink) before the engine merges
+        them; under the distributed executor the sink runs on the
+        coordinator's service threads while the merge stays here, on the
+        consuming thread.
+        """
+
+        spec = self.spec
+        units = build_units(
+            count,
+            tuple(spec.platforms),
+            generator,
+            tuple(spec.enabled_bugs),
+            spec.max_tests,
+            sequence_length=spec.sequence_length,
+            start=start,
+        )
+        key = campaign_key(
+            generator,
+            spec.enabled_bugs,
+            spec.platforms,
+            spec.max_tests,
+            scope=scope,
+            sequence_length=spec.sequence_length,
+        )
+        stored: Dict[Tuple[int, str], UnitOutcome] = {}
+        if self.store is not None:
+            stored = self.store.load(key)
+        outcomes: List[UnitOutcome] = []
+        pending: List[WorkUnit] = []
+        for unit in units:
+            missing = []
+            for platform in unit.platforms:
+                outcome = stored.get((unit.program_index, platform))
+                if outcome is None:
+                    missing.append(platform)
+                else:
+                    outcomes.append(outcome)
+            if missing:
+                pending.append(replace(unit, platforms=tuple(missing)))
+            statistics.units_total += len(unit.platforms)
+        statistics.units_reused += len(outcomes)
+        for outcome in outcomes:
+            merger.add(replace(outcome, counters={}), statistics)
+
+        sink = None
+        journal = None
+        if self.store is not None:
+
+            def sink(program: ProgramOutcome) -> None:
+                for outcome in program.outcomes:
+                    self.store.append(key, outcome)
+
+            journal = lambda event: self.store.append_lease_event(key, event)  # noqa: E731
+        for program in executor.run_units(pending, sink=sink, journal=journal):
+            for outcome in program.outcomes:
+                merger.add(outcome, statistics)
+                outcomes.append(outcome)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Scheduled campaign: coverage-feedback knob arms, round by round
     # ------------------------------------------------------------------
 
-    def _run_scheduled(self) -> CampaignStatistics:
+    def _run_scheduled(
+        self, executor, merger: OutcomeMerger, statistics: CampaignStatistics
+    ) -> Dict[int, KnobArm]:
         """Coverage-feedback campaign: the bandit picks knob arms per round.
 
         The program budget is split into ``schedule_rounds`` contiguous
@@ -340,16 +381,13 @@ class CampaignEngine:
         store scope keyed by the steered generator; because
         ``UnitOutcome.coverage`` is a pure function of the unit, resumed
         rounds reward the bandit exactly like fresh ones and the arm
-        sequence survives kill/resume unchanged.
+        sequence survives kill/resume unchanged.  Returns the arm that
+        generated each program index.
         """
 
         spec = self.spec
-        ordered_platforms = tuple(sorted(spec.platforms, key=platform_rank))
         scheduler = BanditScheduler(seed=spec.generator.seed)
         rounds = min(max(1, spec.schedule_rounds), spec.programs) if spec.programs else 0
-        statistics = CampaignStatistics(programs_generated=spec.programs)
-        merger = OutcomeMerger(spec.enabled_bugs)
-        executor = self._make_executor()
         arm_by_index: Dict[int, KnobArm] = {}
         base, extra = divmod(spec.programs, rounds) if rounds else (0, 0)
         start = 0
@@ -358,65 +396,19 @@ class CampaignEngine:
             if count == 0:
                 continue
             arm = scheduler.next_arm()
-            round_generator = arm.apply(spec.generator)
-            indices = range(start, start + count)
-            start += count
-            for index in indices:
+            for index in range(start, start + count):
                 arm_by_index[index] = arm
-            units = [
-                WorkUnit(
-                    program_index=index,
-                    platform=platform,
-                    generator=round_generator,
-                    enabled_bugs=tuple(spec.enabled_bugs),
-                    max_tests=spec.max_tests,
-                    sequence_length=spec.sequence_length,
-                )
-                for index in indices
-                for platform in ordered_platforms
-            ]
-            key = campaign_key(
-                round_generator,
-                spec.enabled_bugs,
-                spec.platforms,
-                spec.max_tests,
-                scope="scheduled",
-                sequence_length=spec.sequence_length,
+            round_outcomes = self._run_round(
+                executor, arm.apply(spec.generator), start, count, "scheduled",
+                merger, statistics,
             )
-            completed: Dict[Tuple[int, str], UnitOutcome] = {}
-            if self.store is not None:
-                stored = self.store.load(key)
-                completed = {
-                    unit.key: stored[unit.key] for unit in units if unit.key in stored
-                }
-            pending = [unit for unit in units if unit.key not in completed]
-            statistics.units_total += len(units)
-            statistics.units_reused += len(completed)
-            round_outcomes: List[UnitOutcome] = []
-            for outcome in completed.values():
-                merger.add(replace(outcome, counters={}), statistics)
-                round_outcomes.append(outcome)
-            sink = None
-            journal = None
-            if self.store is not None:
-                sink = lambda outcome, key=key: self.store.append(key, outcome)  # noqa: E731
-                journal = lambda event, key=key: self.store.append_lease_event(  # noqa: E731
-                    key, event
-                )
-            for outcome in executor.run_units(pending, sink=sink, journal=journal):
-                merger.add(outcome, statistics)
-                round_outcomes.append(outcome)
+            start += count
             round_coverage: Dict[str, int] = {}
             for outcome in round_outcomes:
                 for cell, value in outcome.coverage.items():
                     round_coverage[cell] = round_coverage.get(cell, 0) + value
             scheduler.update(arm, round_coverage)
-        self._fold_service_counters(executor, statistics)
-        statistics = merger.finalize(statistics)
-        self._annotate_arm_provenance(statistics, merger.provenance, arm_by_index)
-        if spec.reduce:
-            self._run_triage(executor, merger.provenance, statistics)
-        return statistics
+        return arm_by_index
 
     @staticmethod
     def _annotate_arm_provenance(

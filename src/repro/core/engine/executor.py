@@ -9,7 +9,9 @@ pool (:class:`ProcessPoolExecutor`), or a coordinator/worker service over
 TCP (:class:`~repro.core.engine.distributed.DistributedExecutor`).  The
 merge step picks per-identifier winners by ``(program_index, platform)``
 order, which is what makes the campaign result independent of the
-executor (and of worker scheduling noise).
+executor (and of worker scheduling noise).  A work unit is a whole
+program, so no transport ever splits one program's platforms across
+processes.
 
 The local executors also keep the lower-level ``map_unordered(fn, items)``
 interface for callers that shard arbitrary functions (the detection
@@ -17,8 +19,8 @@ matrix shards per-defect tasks this way).
 
 The pool executor uses ``fork`` where the platform offers it: workers
 inherit the already-imported compiler/solver modules for free, and each
-worker process builds its own intern tables, simplify memo and validation
-caches (all of PR 1's hot-path state is process-local by design).
+worker process builds its own intern tables and term memos (process-local
+by design).
 """
 
 from __future__ import annotations
@@ -35,7 +37,14 @@ Sink = Optional[Callable[[object], None]]
 Journal = Optional[Callable[[Dict], None]]
 
 
-def _runner_for(kind: str):
+def runner_for(kind: str):
+    """The worker-side entry point of a unit kind.
+
+    Looked up at call time, and imported lazily so that importing the
+    transports does not drag the whole compiler in (the worker CLI parses
+    its arguments first).
+    """
+
     from repro.core.engine.stages import run_triage_unit, run_unit
 
     return run_unit if kind == KIND_WORK else run_triage_unit
@@ -52,7 +61,7 @@ class _LocalRunUnits:
         journal: Journal = None,
     ) -> Iterator[object]:
         # Local transports have no leases, so the journal goes unused.
-        for outcome in self.map_unordered(_runner_for(kind), units):
+        for outcome in self.map_unordered(runner_for(kind), units):
             if sink is not None:
                 sink(outcome)
             yield outcome

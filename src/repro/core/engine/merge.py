@@ -24,8 +24,8 @@ stream in; ``merge()`` keeps the one-shot convenience API on top of the
 same two steps, so ``jobs=1``, a local pool, and a worker fleet produce
 byte-identical reports.
 
-Per-worker observability counters (solver STATS, validation/testgen cache
-hits) are summed into :attr:`CampaignStatistics.counters` so campaign
+Per-worker observability counters (solver STATS, replay tallies, swallowed
+coverage errors) are summed into :attr:`CampaignStatistics.counters` so campaign
 benchmarks stay truthful when the work is sharded across processes.
 """
 
@@ -118,9 +118,9 @@ class CampaignStatistics:
     crash_findings: int = 0
     semantic_findings: int = 0
     tracker: BugTracker = field(default_factory=BugTracker)
-    #: Summed worker observability deltas (``solver_*`` STATS, validation
-    #: and testgen cache hits/misses).  Totals reflect the work actually
-    #: performed, so they vary with executor/cache locality — unlike the
+    #: Summed worker observability deltas (``solver_*`` STATS, replay
+    #: tallies, ``coverage_errors``).  Totals reflect the work actually
+    #: performed, so they vary with executor/memo locality — unlike the
     #: tracker, which is executor-invariant.
     counters: Dict[str, int] = field(default_factory=dict)
     #: How many work units the campaign comprised, and how many were

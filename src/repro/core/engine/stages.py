@@ -1,52 +1,41 @@
-"""Worker-side pipeline stages: generate → compile(platform) → oracles.
+"""Worker-side pipeline stages: generate → compile → oracles, per program.
 
 Every function in this module runs *inside the worker process* (which may
-be the parent, under the serial executor).  Workers hold their own
-compiler, validator, solver and cache state — PR 1's intern tables and
-memo caches are process-local by design — so nothing here touches shared
-mutable state, and the only thing that crosses back to the parent is the
-JSON-serialisable :class:`~repro.core.engine.units.UnitOutcome`.
-
-Per-process caches:
-
-* ``_PROGRAM_MEMO`` — the generated program for ``(generator config,
-  index)``: the per-platform units of one program land on arbitrary
-  workers, but when two land on the same worker the program is generated
-  once.  Regeneration elsewhere is deterministic (child seeds), so the
-  memo is purely an optimisation.
-Symbolic packet tests are memoised per process by
-:func:`repro.core.testgen.cached_tests` (keyed by emitted source), shared
-between platforms and across the per-defect detection matrix.
+be the parent, under the serial executor).  A work unit is one program:
+:func:`run_unit` generates and emits it once, compiles each distinct
+front/mid-end defect set once (p4c's, and the back ends' clean chain —
+backend defects never reach the prefix), validates and interprets each of
+those compilations once, builds the §6 test sequences once, and links and
+packet-tests every back end from those locals.  Nothing is shared between
+programs except the term-level memos of :mod:`repro.smt` (interning,
+simplify, bit-blast, the equivalence memo), which hit across programs, so
+a unit's work does not depend on which process it lands in.  The only
+thing that crosses back to the parent is the JSON-serialisable
+:class:`~repro.core.engine.units.ProgramOutcome`.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
-from dataclasses import astuple
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import smt
-from repro.compiler import (
-    CompilerOptions,
-    clear_prefix_cache,
-    compile_prefix,
-    prefix_cache_stats,
-)
+from repro.compiler import CompilationResult, CompilerOptions, compile_front_midend
 from repro.compiler.coverage import program_features, shape_cell
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.core.crash import classify_compilation, crash_from_exception
 from repro.core.generator import RandomProgramGenerator
 from repro.core.testgen import (
-    clear_testgen_cache,
+    TestSequence,
+    build_test_sequences,
     program_has_state,
-    testgen_cache_stats,
 )
 from repro.core.validation import (
     TranslationValidator,
     ValidationOutcome,
+    ValidationReport,
     term_shape_histogram,
-    validation_cache_stats,
 )
 from repro.p4 import ast, emit_program, parse_program
 from repro.targets import BACKEND_REGISTRY
@@ -62,6 +51,7 @@ from repro.core.engine.units import (
     TRIAGE_REDUCED,
     TRIAGE_UNREPRODUCED,
     FindingRecord,
+    ProgramOutcome,
     TriageOutcome,
     TriageUnit,
     UnitOutcome,
@@ -79,232 +69,232 @@ from repro.core.reduce.oracles import (
     replay_stats,
 )
 
-# ----------------------------------------------------------------------
-# Per-process state
-# ----------------------------------------------------------------------
-
-_MEMO_LIMIT = 64
-_PROGRAM_MEMO: "OrderedDict[tuple, Tuple[ast.Program, str]]" = OrderedDict()
-
-_VALIDATOR = TranslationValidator()
+#: The prefix-defect set of every back end: backend defects only fire in
+#: the targets' own lowering, so the back ends share one clean prefix.
+_CLEAN_PREFIX: FrozenSet[str] = frozenset()
 
 
-def reset_worker_state() -> None:
-    """Drop per-process memo caches (used by tests and pool recycling)."""
-
-    _PROGRAM_MEMO.clear()
-    clear_testgen_cache()
-    clear_prefix_cache()
-    smt.clear_equivalence_cache()
-
-
-# ----------------------------------------------------------------------
-# Stage: generate
-# ----------------------------------------------------------------------
-
-def stage_generate(unit: WorkUnit) -> Tuple[ast.Program, str]:
-    """Deterministically (re)generate the unit's program and its source."""
-
-    key = (astuple(unit.generator), unit.program_index)
-    cached = _PROGRAM_MEMO.get(key)
-    if cached is not None:
-        _PROGRAM_MEMO.move_to_end(key)
-        return cached
-    generator = RandomProgramGenerator(unit.generator)
-    program = generator.generate_indexed(unit.program_index)
-    source = emit_program(program)
-    _PROGRAM_MEMO[key] = (program, source)
-    while len(_PROGRAM_MEMO) > _MEMO_LIMIT:
-        _PROGRAM_MEMO.popitem(last=False)
-    return program, source
-
-
-# ----------------------------------------------------------------------
-# Stage: compile + oracles, per platform
-# ----------------------------------------------------------------------
-
-def _p4c_stage(
-    unit: WorkUnit, program: ast.Program, source: str
-) -> Tuple[str, List[FindingRecord]]:
-    """Open-toolchain unit: crash detection + translation validation."""
-
-    options = CompilerOptions(enabled_bugs=p4c_bug_set(unit.enabled_bugs))
-    result = compile_prefix(program, source, options)
-    if result.rejected:
-        return STATUS_REJECTED, []
-    crash = classify_compilation(result, platform="p4c")
-    if crash is not None:
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_CRASH,
-                platform="p4c",
-                pass_name=crash.pass_name,
-                description=crash.message,
-                signature=crash.signature,
-            )
-        ]
-    report = _VALIDATOR.validate_compilation(result)
-    if report.outcome == ValidationOutcome.ORACLE_ERROR:
-        return STATUS_ORACLE_ERROR, []
-    if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_INVALID,
-                platform="p4c",
-                pass_name=report.invalid_pass or "ToP4",
-                description=report.detail,
-            )
-        ]
-    if report.outcome == ValidationOutcome.SEMANTIC_BUG:
-        divergence = report.divergences[0]
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_SEMANTIC,
-                platform="p4c",
-                pass_name=divergence.pass_name,
-                description=(
-                    f"pass {divergence.pass_name} changed {divergence.output_path} "
-                    f"in block {divergence.block}"
-                ),
-                witness=dict(divergence.witness),
-                before_pass=divergence.before_pass,
-            )
-        ]
-    return STATUS_CLEAN, []
-
-
-def packet_test(
-    unit: WorkUnit, program: ast.Program, source: str, executable, spec
-) -> Optional[str]:
-    """Run the symbolic packet tests against a compiled executable.
-
-    Returns a human-readable mismatch description, or ``None`` when every
-    test passes (or the oracle could not produce tests for this program).
-    The actual oracle lives in :func:`repro.core.reduce.oracles.packet_mismatch`
-    so the triage predicates exercise the exact same check.
-    """
-
-    return packet_mismatch(
-        program, source, executable, spec, unit.max_tests, unit.sequence_length
+def _crash_finding(crash, platform: str) -> FindingRecord:
+    return FindingRecord(
+        kind=FINDING_CRASH,
+        platform=platform,
+        pass_name=crash.pass_name,
+        description=crash.message,
+        signature=crash.signature,
     )
 
 
-def _backend_stage(
-    unit: WorkUnit, program: ast.Program, source: str
-) -> Tuple[str, List[FindingRecord]]:
-    """Closed-backend unit: crash detection + symbolic packet tests.
+def _validation_finding(
+    report: ValidationReport, platform: str
+) -> Optional[FindingRecord]:
+    """The finding a translation-validation verdict files, if any."""
 
-    The front/mid-end prefix comes from the process-wide memo
-    (:func:`repro.compiler.compile_prefix`): the back ends of one program
-    share a single prefix compilation (backend defects never reach the
-    prefix, so they share a key) and the target only runs its own
-    lowering via ``link``.  The shared prefix is then *validated* through
-    the same snapshot-keyed reparse/interp caches the open-toolchain unit
-    warms — nearly free on a cache re-walk, and the only way a latent
-    mid-end defect on the backend's (usually clean) prefix chain gets
-    reported rather than silently lowered.  A validator limitation
-    (``ORACLE_ERROR``) never blocks the §6 packet tests.
+    if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
+        return FindingRecord(
+            kind=FINDING_INVALID,
+            platform=platform,
+            pass_name=report.invalid_pass or "ToP4",
+            description=report.detail,
+        )
+    if report.outcome == ValidationOutcome.SEMANTIC_BUG:
+        divergence = report.divergences[0]
+        return FindingRecord(
+            kind=FINDING_SEMANTIC,
+            platform=platform,
+            pass_name=divergence.pass_name,
+            description=(
+                f"pass {divergence.pass_name} changed {divergence.output_path} "
+                f"in block {divergence.block}"
+            ),
+            witness=dict(divergence.witness),
+            before_pass=divergence.before_pass,
+        )
+    return None
+
+
+class _ProgramCheck:
+    """One program's check: the locals its platforms share.
+
+    Every shared result is computed on first use, so the platform that
+    first needs a compilation, a validation verdict or the test sequences
+    pays for it in its own ``elapsed_s`` and counter deltas, and the later
+    platforms reuse it.
     """
 
-    platform = unit.platform
-    spec = BACKEND_REGISTRY[platform]
-    platform_bugs = backend_bug_set(unit.enabled_bugs, platform)
-    target = spec.target_cls(CompilerOptions(enabled_bugs=platform_bugs, target=platform))
-    result = compile_prefix(program, source, target.options)
-    try:
-        executable = target.link(result)
-    except CompilerCrash as crash_exc:
-        crash = crash_from_exception(crash_exc, platform)
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_CRASH,
-                platform=platform,
-                pass_name=crash.pass_name,
-                description=crash.message,
-                signature=crash.signature,
-            )
-        ]
-    except CompilerError:
-        return STATUS_REJECTED, []
-    if unit.validate_prefix:
-        report = _VALIDATOR.validate_compilation(result)
-        if report.outcome == ValidationOutcome.INVALID_TRANSFORMATION:
+    def __init__(self, unit: WorkUnit) -> None:
+        self.unit = unit
+        #: One validator per program: it interprets each snapshot source
+        #: once across both prefix compilations.
+        self.validator = TranslationValidator()
+        self._compiled: Dict[FrozenSet[str], CompilationResult] = {}
+        self._validated: Dict[FrozenSet[str], ValidationReport] = {}
+
+    @cached_property
+    def program(self) -> ast.Program:
+        generator = RandomProgramGenerator(self.unit.generator)
+        return generator.generate_indexed(self.unit.program_index)
+
+    @cached_property
+    def source(self) -> str:
+        return emit_program(self.program)
+
+    @cached_property
+    def sequences(self) -> Optional[List[TestSequence]]:
+        return build_test_sequences(
+            self.program, self.unit.max_tests, self.unit.sequence_length
+        )
+
+    def compiled(self, prefix_bugs: FrozenSet[str]) -> CompilationResult:
+        """The front/mid-end compilation under one prefix-defect set.
+
+        The result is shared by every consumer and only ever read.
+        """
+
+        result = self._compiled.get(prefix_bugs)
+        if result is None:
+            options = CompilerOptions(enabled_bugs=set(prefix_bugs))
+            result = compile_front_midend(self.program.clone(), options)
+            self._compiled[prefix_bugs] = result
+        return result
+
+    def validated(self, prefix_bugs: FrozenSet[str]) -> ValidationReport:
+        report = self._validated.get(prefix_bugs)
+        if report is None:
+            report = self.validator.validate_compilation(self.compiled(prefix_bugs))
+            self._validated[prefix_bugs] = report
+        return report
+
+    def prefix_bugs(self, platform: str) -> FrozenSet[str]:
+        if platform == "p4c":
+            return frozenset(p4c_bug_set(self.unit.enabled_bugs))
+        return _CLEAN_PREFIX
+
+    # -- per-platform oracles ---------------------------------------------------
+
+    def check(self, platform: str) -> Tuple[str, List[FindingRecord]]:
+        """Status and findings of one platform."""
+
+        if platform == "p4c":
+            return self._check_p4c()
+        if platform in BACKEND_REGISTRY:
+            return self._check_backend(platform)
+        raise ValueError(f"unknown platform {platform!r}")
+
+    def _check_p4c(self) -> Tuple[str, List[FindingRecord]]:
+        """Open toolchain: crash detection + translation validation."""
+
+        prefix_bugs = self.prefix_bugs("p4c")
+        result = self.compiled(prefix_bugs)
+        if result.rejected:
+            return STATUS_REJECTED, []
+        crash = classify_compilation(result, platform="p4c")
+        if crash is not None:
+            return STATUS_FINDING, [_crash_finding(crash, "p4c")]
+        report = self.validated(prefix_bugs)
+        if report.outcome == ValidationOutcome.ORACLE_ERROR:
+            return STATUS_ORACLE_ERROR, []
+        finding = _validation_finding(report, "p4c")
+        if finding is not None:
+            return STATUS_FINDING, [finding]
+        return STATUS_CLEAN, []
+
+    def _check_backend(self, platform: str) -> Tuple[str, List[FindingRecord]]:
+        """Closed back end: crash detection + symbolic packet tests.
+
+        The back end links the shared clean prefix with its own defects
+        enabled.  That prefix is validated too (once for all back ends):
+        it is the only way a latent mid-end defect on the back ends'
+        chain gets reported rather than silently lowered.  A validator
+        limitation (``ORACLE_ERROR``) never blocks the §6 packet tests.
+        """
+
+        spec = BACKEND_REGISTRY[platform]
+        platform_bugs = backend_bug_set(self.unit.enabled_bugs, platform)
+        target = spec.target_cls(CompilerOptions(enabled_bugs=platform_bugs, target=platform))
+        try:
+            executable = target.link(self.compiled(_CLEAN_PREFIX))
+        except CompilerCrash as crash_exc:
             return STATUS_FINDING, [
-                FindingRecord(
-                    kind=FINDING_INVALID,
-                    platform=platform,
-                    pass_name=report.invalid_pass or "ToP4",
-                    description=report.detail,
-                )
+                _crash_finding(crash_from_exception(crash_exc, platform), platform)
             ]
-        if report.outcome == ValidationOutcome.SEMANTIC_BUG:
-            divergence = report.divergences[0]
+        except CompilerError:
+            return STATUS_REJECTED, []
+        finding = _validation_finding(self.validated(_CLEAN_PREFIX), platform)
+        if finding is not None:
+            return STATUS_FINDING, [finding]
+        mismatch = packet_mismatch(self.program, self.sequences, executable, spec)
+        if mismatch is not None:
             return STATUS_FINDING, [
                 FindingRecord(
                     kind=FINDING_SEMANTIC,
                     platform=platform,
-                    pass_name=divergence.pass_name,
-                    description=(
-                        f"pass {divergence.pass_name} changed {divergence.output_path} "
-                        f"in block {divergence.block}"
-                    ),
-                    witness=dict(divergence.witness),
-                    before_pass=divergence.before_pass,
+                    pass_name="backend",
+                    description=mismatch,
+                    attributed_bugs=self._bisect(platform, platform_bugs),
                 )
             ]
-    mismatch = packet_test(unit, program, source, executable, spec)
-    if mismatch is not None:
-        return STATUS_FINDING, [
-            FindingRecord(
-                kind=FINDING_SEMANTIC,
-                platform=platform,
-                pass_name="backend",
-                description=mismatch,
-                attributed_bugs=_bisect_backend_defects(unit, program, source, spec),
-            )
-        ]
-    return STATUS_CLEAN, []
+        return STATUS_CLEAN, []
 
+    def _bisect(self, platform: str, platform_bugs) -> Tuple[str, ...]:
+        """Attribute a packet mismatch to individual enabled backend defects.
 
-def _bisect_backend_defects(
-    unit: WorkUnit, program: ast.Program, source: str, spec
-) -> Tuple[str, ...]:
-    """Attribute a packet mismatch to individual enabled backend defects.
+        Links the shared clean prefix with each same-platform enabled
+        defect alone and replays the program's test sequences: a defect is
+        implicated iff it reproduces the mismatch by itself, so each
+        singleton costs one backend lowering plus the packet replay.
 
-    Recompiles the trigger with each same-platform enabled defect alone and
-    re-runs the packet tests: a defect is implicated iff it reproduces the
-    mismatch by itself.  Cheap where it matters — the front/mid-end prefix
-    is memoised process-wide (backend defects never reach the prefix, so
-    every singleton shares the compilation this unit already paid for) and
-    the symbolic packet tests are memoised by source — so each singleton
-    costs one backend lowering plus the packet replay.
+        Returns the implicated defects in sorted order, or ``()`` when no
+        singleton reproduces (an interaction-only mismatch, or an unseeded
+        backend bug): the merge then falls back to the legacy
+        platform-level attribution rather than inventing a culprit.
+        """
 
-    Returns the implicated defects in sorted order, or ``()`` when no
-    singleton reproduces (an interaction-only mismatch, or an unseeded
-    backend bug): the merge then falls back to the legacy platform-level
-    attribution rather than inventing a culprit.
-    """
+        if len(platform_bugs) <= 1:
+            # The mismatch already *is* the singleton run (or there is
+            # nothing to attribute): no relinking can add information.
+            return tuple(sorted(platform_bugs))
+        spec = BACKEND_REGISTRY[platform]
+        attributed = []
+        for bug_id in sorted(platform_bugs):
+            target = spec.target_cls(CompilerOptions(enabled_bugs={bug_id}, target=platform))
+            try:
+                executable = target.link(self.compiled(_CLEAN_PREFIX))
+            except (CompilerCrash, CompilerError):
+                continue  # the lone defect breaks compilation: not this mismatch
+            if packet_mismatch(self.program, self.sequences, executable, spec):
+                attributed.append(bug_id)
+        return tuple(attributed)
 
-    platform_bugs = backend_bug_set(unit.enabled_bugs, unit.platform)
-    if len(platform_bugs) <= 1:
-        # The mismatch already *is* the singleton run (or there is nothing
-        # to attribute): no recompilation can add information.
-        return tuple(sorted(platform_bugs))
-    attributed = []
-    for bug_id in sorted(platform_bugs):
-        target = spec.target_cls(
-            CompilerOptions(enabled_bugs={bug_id}, target=unit.platform)
-        )
-        result = compile_prefix(program, source, target.options)
+    # -- coverage ---------------------------------------------------------------
+
+    def coverage(self, platform: str) -> Tuple[Dict[str, int], int]:
+        """Coverage cells the platform's prefix lit up, and swallowed errors.
+
+        A pure function of the unit: program features, the pass/rule cells
+        of the platform's prefix compilation and the term-shape histogram
+        of its final snapshot.  Coverage is feedback, never an oracle: a
+        failure degrades to fewer cells and is counted, it never fails a
+        unit.
+        """
+
+        errors = 0
         try:
-            executable = target.link(result)
-        except (CompilerCrash, CompilerError):
-            continue  # the lone defect breaks compilation: not this mismatch
-        if packet_mismatch(
-            program, source, executable, spec, unit.max_tests, unit.sequence_length
-        ):
-            attributed.append(bug_id)
-    return tuple(attributed)
+            coverage = program_features(self.program)
+            result = self.compiled(self.prefix_bugs(platform))
+            coverage.update(result.coverage.to_dict())
+            if result.succeeded and result.snapshots:
+                try:
+                    semantics = self.validator.interpret(result.snapshots[-1])
+                except Exception:  # noqa: BLE001 - coverage must never fail a unit
+                    errors += 1
+                else:
+                    histogram = term_shape_histogram(semantics)
+                    coverage.update(
+                        {shape_cell(op): count for op, count in histogram.items()}
+                    )
+            return coverage.to_dict(), errors
+        except Exception:  # noqa: BLE001 - coverage must never fail a unit
+            return {}, errors + 1
 
 
 # ----------------------------------------------------------------------
@@ -313,79 +303,44 @@ def _bisect_backend_defects(
 
 def _counters_snapshot() -> Dict[str, int]:
     counters = {f"solver_{key}": value for key, value in smt.STATS.snapshot().items()}
-    counters.update(validation_cache_stats())
-    counters.update(testgen_cache_stats())
-    counters.update(prefix_cache_stats())
     counters.update(replay_stats())
-    # Only monotone counters survive: per-unit deltas of gauges (cache
-    # entry counts) are meaningless once summed across units.
-    return {
-        key: value for key, value in counters.items() if not key.endswith("_entries")
-    }
+    return counters
 
 
-def _unit_coverage(unit: WorkUnit, program: ast.Program, source: str) -> Dict[str, int]:
-    """Coverage cells this unit's program lit up (pure function of the unit).
-
-    Re-runs :func:`compile_prefix` with the same options the platform stage
-    just used, so the compilation (and its attached rule/pass coverage) is
-    a guaranteed memo hit — the only new work is the feature walk and the
-    shape histogram, both near-free.  Coverage is feedback, never an
-    oracle: any failure degrades to fewer cells, not a failed unit.
-    """
-
-    try:
-        coverage = program_features(program)
-        if unit.platform == "p4c":
-            options = CompilerOptions(enabled_bugs=p4c_bug_set(unit.enabled_bugs))
-        else:
-            options = CompilerOptions(
-                enabled_bugs=backend_bug_set(unit.enabled_bugs, unit.platform),
-                target=unit.platform,
-            )
-        result = compile_prefix(program, source, options)
-        coverage.update(result.coverage.to_dict())
-        if result.succeeded and result.snapshots:
-            histogram = term_shape_histogram(result.snapshots[-1])
-            coverage.update(
-                {shape_cell(op): count for op, count in histogram.items()}
-            )
-        return coverage.to_dict()
-    except Exception:  # noqa: BLE001 - coverage must never fail a unit
-        return {}
-
-
-def run_unit(unit: WorkUnit) -> UnitOutcome:
-    """Execute one work unit end to end and report its outcome.
+def run_unit(unit: WorkUnit) -> ProgramOutcome:
+    """Check one program on each of its platforms and report the outcomes.
 
     This is the function handed to the process pool; it must stay
     module-level (picklable by reference) and must never raise — an oracle
-    failure is an outcome, not an exception.
+    failure is an outcome, not an exception.  Each platform's outcome
+    carries the time and counter deltas of its own share of the check.
     """
 
-    before = _counters_snapshot()
-    start = time.perf_counter()
-    program, source = stage_generate(unit)
-    if unit.platform == "p4c":
-        status, findings = _p4c_stage(unit, program, source)
-    elif unit.platform in BACKEND_REGISTRY:
-        status, findings = _backend_stage(unit, program, source)
-    else:
-        raise ValueError(f"unknown platform {unit.platform!r}")
-    coverage = _unit_coverage(unit, program, source)
-    elapsed = time.perf_counter() - start
-    after = _counters_snapshot()
-    deltas = {key: after[key] - before.get(key, 0) for key in after}
-    return UnitOutcome(
-        program_index=unit.program_index,
-        platform=unit.platform,
-        status=status,
-        findings=findings,
-        source=source,
-        counters=deltas,
-        coverage=coverage,
-        elapsed_s=elapsed,
-    )
+    check = _ProgramCheck(unit)
+    outcomes = []
+    for platform in unit.platforms:
+        before = _counters_snapshot()
+        start = time.perf_counter()
+        status, findings = check.check(platform)
+        coverage, coverage_errors = check.coverage(platform)
+        source = check.source
+        elapsed = time.perf_counter() - start
+        after = _counters_snapshot()
+        counters = {key: after[key] - before.get(key, 0) for key in after}
+        counters["coverage_errors"] = coverage_errors
+        outcomes.append(
+            UnitOutcome(
+                program_index=unit.program_index,
+                platform=platform,
+                status=status,
+                findings=findings,
+                source=source,
+                counters=counters,
+                coverage=coverage,
+                elapsed_s=elapsed,
+            )
+        )
+    return ProgramOutcome(program_index=unit.program_index, outcomes=outcomes)
 
 
 # ----------------------------------------------------------------------

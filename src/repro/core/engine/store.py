@@ -1,17 +1,19 @@
 """JSONL artifact store: crash-safe persistence of unit outcomes.
 
-Every finished work unit is appended to the store as one JSON line, so a
-campaign killed at any point leaves a valid prefix on disk.  On restart the
-engine loads the completed units for its *campaign key* and only schedules
-the remainder; ``run_detection_matrix`` shares the same store, so a matrix
-re-run reuses every unit an earlier (possibly interrupted) run finished.
+Every finished ``(program_index, platform)`` outcome is appended to the
+store as one JSON line, so a campaign killed at any point leaves a valid
+prefix on disk.  On restart the engine loads the completed outcomes for its
+*campaign key* and only schedules the remainder (a program whose
+platforms were only partly stored re-runs just the missing ones);
+``run_detection_matrix`` shares the same store, so a matrix re-run reuses
+every unit an earlier (possibly interrupted) run finished.
 
 The campaign key is a content hash of everything that determines a unit's
 result — generator config (which embeds the seed), enabled defects,
 platform set, test budget — so resuming with *different* parameters never
-reuses stale outcomes.  The program count is deliberately excluded: units
-are keyed by program index, so growing a 100-program campaign to 1000
-reuses the first 100 programs' outcomes verbatim.
+reuses stale outcomes.  The program count is deliberately excluded:
+outcomes are keyed by program index, so growing a 100-program campaign to
+1000 reuses the first 100 programs' outcomes verbatim.
 
 The parent process is the only writer; workers ship outcomes back over the
 pool and the engine appends them as they complete.  A torn final line
@@ -130,14 +132,6 @@ class ArtifactStore:
         """
 
         self._append_line({"key": key, "triage": outcome.to_dict()})
-
-    def append_outcome(self, key: str, kind: str, outcome) -> None:
-        """Kind-dispatching append (the coordinator streams both kinds)."""
-
-        if kind == KIND_WORK:
-            self.append(key, outcome)
-        else:
-            self.append_triage(key, outcome)
 
     def append_lease_event(self, key: str, event: Dict) -> None:
         """One line of the coordinator's lease journal.

@@ -1,10 +1,15 @@
 """Work units and their outcomes — the engine's wire format.
 
-A campaign is decomposed into independent ``(program_index, platform)``
-work units.  Each unit is *picklable* (it crosses a process boundary on the
-way to a pool worker) and each outcome is *JSON-serialisable* (it is
-appended to the campaign's JSONL artifact store so an interrupted campaign
-can resume without recomputing finished units).
+A campaign is decomposed into independent work units, one per generated
+program: a unit checks its program on every platform it names, so the
+program is generated, compiled, validated and turned into §6 test
+sequences once for all of them.  Each unit is *picklable* (it crosses a
+process boundary on the way to a pool worker) and JSON-serialisable (a
+distributed lease ships it to a remote worker).  It returns a
+:class:`ProgramOutcome` holding one :class:`UnitOutcome` per
+``(program_index, platform)``; those per-platform outcomes are what the
+JSONL artifact store records, so an interrupted campaign resumes without
+recomputing finished platforms.
 
 The outcome deliberately carries raw, attribution-free data: which oracle
 fired, the finding's signature/pass/witness, and the emitted source that
@@ -47,7 +52,7 @@ TRIAGE_UNREPRODUCED = "unreproduced"
 
 #: Unit kinds: every executor stage (local or distributed) schedules one
 #: homogeneous batch of either generation units (:class:`WorkUnit` →
-#: :class:`UnitOutcome`) or triage units (:class:`TriageUnit` →
+#: :class:`ProgramOutcome`) or triage units (:class:`TriageUnit` →
 #: :class:`TriageOutcome`).  The kind travels with a distributed lease so
 #: a worker knows which runner to dispatch.
 KIND_WORK = "work"
@@ -55,7 +60,7 @@ KIND_TRIAGE = "triage"
 
 
 def unit_key(kind: str, unit) -> object:
-    """The dedup identity of a unit (work: ``(index, platform)``; triage: id)."""
+    """The dedup identity of a unit (work: program index; triage: id)."""
 
     return unit.key if kind == KIND_WORK else unit.identifier
 
@@ -78,7 +83,7 @@ def unit_from_dict(kind: str, payload: Dict[str, object]):
 
 
 def outcome_from_dict(kind: str, payload: Dict[str, object]):
-    cls = UnitOutcome if kind == KIND_WORK else TriageOutcome
+    cls = ProgramOutcome if kind == KIND_WORK else TriageOutcome
     return cls.from_dict(payload)
 
 
@@ -93,26 +98,22 @@ def platform_rank(platform: str) -> int:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One shard of a campaign: test one generated program on one platform.
+    """One shard of a campaign: check one generated program on its platforms.
 
     The unit carries everything a worker needs to *regenerate* the program
     (the generator config embeds the campaign seed; the program itself is
     derived from ``(seed, program_index)`` via
     :func:`repro.core.generator.derive_child_seed`) rather than the program
     AST itself: regeneration is cheap, deterministic, and keeps the pickled
-    payload tiny.
+    payload tiny.  ``platforms`` is in merge order and, on a resumed
+    campaign, names only the platforms the store is still missing.
     """
 
     program_index: int
-    platform: str
+    platforms: Tuple[str, ...]
     generator: GeneratorConfig
     enabled_bugs: Tuple[str, ...] = ()
     max_tests: int = 4
-    #: Backend units re-walk the shared front/mid-end prefix through the
-    #: process-wide snapshot caches and reuse its verdict (PR 7's shared-
-    #: prefix validation); disable to restore the pre-PR-7 packet-tests-only
-    #: behaviour for closed back ends.
-    validate_prefix: bool = True
     #: Packet count of the §6 test sequences replayed against stateful
     #: programs (stateless programs always collapse to length 1).  Part of
     #: the wire form: a distributed worker must replay exactly what the
@@ -120,20 +121,16 @@ class WorkUnit:
     sequence_length: int = 3
 
     @property
-    def key(self) -> Tuple[int, str]:
-        return (self.program_index, self.platform)
-
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.program_index, platform_rank(self.platform))
+    def key(self) -> int:
+        return self.program_index
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "program_index": self.program_index,
-            "platform": self.platform,
+            "platforms": list(self.platforms),
             "generator": asdict(self.generator),
             "enabled_bugs": list(self.enabled_bugs),
             "max_tests": self.max_tests,
-            "validate_prefix": self.validate_prefix,
             "sequence_length": self.sequence_length,
         }
 
@@ -141,11 +138,10 @@ class WorkUnit:
     def from_dict(cls, payload: Dict[str, object]) -> "WorkUnit":
         return cls(
             program_index=payload["program_index"],
-            platform=payload["platform"],
+            platforms=tuple(payload["platforms"]),
             generator=GeneratorConfig(**payload["generator"]),
             enabled_bugs=tuple(payload.get("enabled_bugs", ())),
             max_tests=payload.get("max_tests", 4),
-            validate_prefix=payload.get("validate_prefix", True),
             sequence_length=payload.get("sequence_length", 1),
         )
 
@@ -201,9 +197,10 @@ class UnitOutcome:
     findings: List[FindingRecord] = field(default_factory=list)
     #: Emitted source of the generated program (the bug trigger).
     source: str = ""
-    #: Per-unit deltas of worker-process observability counters (solver
-    #: STATS, validation/testgen cache hits); summed by the merge step so
-    #: the campaign totals stay truthful under parallelism.
+    #: Deltas of worker-process observability counters (solver STATS,
+    #: replay tallies, swallowed coverage errors) over this platform's
+    #: share of the program's check; summed by the merge step so the
+    #: campaign totals stay truthful under parallelism.
     counters: Dict[str, int] = field(default_factory=dict)
     #: Pipeline coverage cells this unit's program lit up (pass-fired bits,
     #: rewrite-rule hits, term shapes, program features).  Unlike
@@ -245,6 +242,35 @@ class UnitOutcome:
             counters=dict(payload.get("counters", {})),
             coverage=dict(payload.get("coverage", {})),
             elapsed_s=payload.get("elapsed_s", 0.0),
+        )
+
+
+@dataclass
+class ProgramOutcome:
+    """What one work unit produced: one :class:`UnitOutcome` per platform.
+
+    Only the transports see this wrapper; the engine unpacks it before the
+    merge and the artifact store, which both stay per ``(program, platform)``.
+    """
+
+    program_index: int
+    outcomes: List[UnitOutcome] = field(default_factory=list)
+
+    @property
+    def key(self) -> int:
+        return self.program_index
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "program_index": self.program_index,
+            "outcomes": [outcome.to_dict() for outcome in self.outcomes],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "ProgramOutcome":
+        return cls(
+            program_index=payload["program_index"],
+            outcomes=[UnitOutcome.from_dict(entry) for entry in payload["outcomes"]],
         )
 
 
@@ -378,8 +404,9 @@ def build_units(
     enabled_bugs: Tuple[str, ...],
     max_tests: int,
     sequence_length: int = 3,
+    start: int = 0,
 ) -> List[WorkUnit]:
-    """The full unit list of a campaign, in deterministic order.
+    """One unit per program ``start .. start + programs - 1``, in order.
 
     Unknown platforms are rejected here, in the parent, before any work is
     scheduled: a worker raising mid-campaign would abort the pool with a
@@ -391,16 +418,15 @@ def build_units(
         raise ValueError(
             f"unknown platform(s) {unknown!r}; supported: {list(PLATFORM_ORDER)}"
         )
-    ordered_platforms = sorted(platforms, key=platform_rank)
+    ordered_platforms = tuple(sorted(platforms, key=platform_rank))
     return [
         WorkUnit(
             program_index=index,
-            platform=platform,
+            platforms=ordered_platforms,
             generator=generator,
             enabled_bugs=tuple(enabled_bugs),
             max_tests=max_tests,
             sequence_length=sequence_length,
         )
-        for index in range(programs)
-        for platform in ordered_platforms
+        for index in range(start, start + programs)
     ]

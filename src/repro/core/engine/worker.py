@@ -34,16 +34,8 @@ import time
 from typing import Dict, Optional
 
 from repro.core.engine import protocol
+from repro.core.engine.executor import runner_for
 from repro.core.engine.units import KIND_WORK, unit_from_dict
-
-#: Re-imported lazily in :func:`_runner_for` so importing this module does
-#: not drag the whole compiler in (the CLI parses arguments first).
-
-
-def _runner_for(kind: str):
-    from repro.core.engine.stages import run_triage_unit, run_unit
-
-    return run_unit if kind == KIND_WORK else run_triage_unit
 
 
 class _HeartbeatPump(threading.Thread):
@@ -130,7 +122,7 @@ def run_worker(
         if not welcome or not welcome.get("ok"):
             return stats
         kind = welcome.get("kind", KIND_WORK)
-        runner = _runner_for(kind)
+        runner = runner_for(kind)
         heartbeat_s = float(welcome.get("heartbeat_s", 5.0))
         pump = _HeartbeatPump(host, port, worker_id, heartbeat_s)
         pump.start()

@@ -20,15 +20,19 @@ working tree and keeps mutating it between calls.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Iterable, List, Optional, Set
 
-from repro.compiler import CompilerOptions, compile_prefix
+from repro.compiler import CompilerOptions, compile_front_midend
 from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND
 from repro.compiler.errors import CompilerCrash, CompilerError
 from repro.core.crash import crash_from_exception
-from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH, cached_sequences
+from repro.core.testgen import (
+    DEFAULT_SEQUENCE_LENGTH,
+    TestSequence,
+    build_test_sequences,
+)
 from repro.core.validation import TranslationValidator, ValidationOutcome
-from repro.p4 import ast, emit_program
+from repro.p4 import ast
 from repro.targets import BACKEND_REGISTRY
 
 from repro.core.engine.units import (
@@ -38,7 +42,7 @@ from repro.core.engine.units import (
 )
 from repro.core.reduce.reducer import Predicate
 
-#: Monotone replay tallies (merged across workers like the cache stats):
+#: Monotone replay tallies (merged across workers like the solver stats):
 #: how many §6 sequences and individual packets the campaign actually
 #: drove through back-end executables.  ``sequences/sec`` in ``make
 #: bench-stateful`` is derived from these.
@@ -73,26 +77,23 @@ def backend_bug_set(enabled_bugs: Iterable[str], platform: str) -> Set[str]:
 
 def packet_mismatch(
     program: ast.Program,
-    source: str,
+    sequences: Optional[List[TestSequence]],
     executable,
     spec,
-    max_tests: int,
-    sequence_length: int = DEFAULT_SEQUENCE_LENGTH,
 ) -> Optional[str]:
     """Replay the symbolic test sequences against a compiled executable.
 
+    ``sequences`` are :func:`~repro.core.testgen.build_test_sequences` of
+    ``program`` (``None`` when the oracle could not produce tests).
     Returns a human-readable mismatch description, or ``None`` when every
-    test passes (or the oracle could not produce tests for this program).
-    This is the §6 oracle shared by the campaign's backend stage, the
-    per-defect bisection and the triage predicates — every consumer replays
-    the *full* sequence: state is reset once per sequence, the packets run
-    in order against the live switch state, and after the last packet the
-    final ``$state.*`` cells are compared too.  Stateless programs collapse
-    to single-packet sequences, so their behaviour (and their cached tests)
-    is unchanged.
+    test passes (or there are no tests).  This is the §6 oracle shared by
+    the campaign's backend stage, the per-defect bisection and the triage
+    predicates — every consumer replays the *full* sequence: state is reset
+    once per sequence, the packets run in order against the live switch
+    state, and after the last packet the final ``$state.*`` cells are
+    compared too.
     """
 
-    sequences = cached_sequences(program, source, max_tests, sequence_length)
     if sequences is None:
         return None
     runner = spec.runner_cls(executable)
@@ -139,7 +140,7 @@ def _p4c_crash_predicate(signature: str, enabled_bugs: Iterable[str]) -> Predica
 
     def still_fails(candidate: ast.Program) -> bool:
         options = CompilerOptions(enabled_bugs=set(bugs))
-        result = compile_prefix(candidate, emit_program(candidate), options)
+        result = compile_front_midend(candidate.clone(), options)
         return result.crashed and result.crash.signature == signature
 
     return still_fails
@@ -154,7 +155,7 @@ def _backend_crash_predicate(
     def still_fails(candidate: ast.Program) -> bool:
         options = CompilerOptions(enabled_bugs=set(bugs), target=platform)
         try:
-            result = compile_prefix(candidate, emit_program(candidate), options)
+            result = compile_front_midend(candidate.clone(), options)
             spec.target_cls(options).link(result)
         except CompilerCrash as crash_exc:
             return crash_from_exception(crash_exc, platform).signature == signature
@@ -170,7 +171,7 @@ def _invalid_predicate(pass_name: str, enabled_bugs: Iterable[str]) -> Predicate
 
     def still_fails(candidate: ast.Program) -> bool:
         options = CompilerOptions(enabled_bugs=set(bugs))
-        result = compile_prefix(candidate, emit_program(candidate), options)
+        result = compile_front_midend(candidate.clone(), options)
         if not result.succeeded:
             return False
         report = TranslationValidator().validate_compilation(result)
@@ -187,7 +188,7 @@ def _divergence_predicate(pass_name: str, enabled_bugs: Iterable[str]) -> Predic
 
     def still_fails(candidate: ast.Program) -> bool:
         options = CompilerOptions(enabled_bugs=set(bugs))
-        result = compile_prefix(candidate, emit_program(candidate), options)
+        result = compile_front_midend(candidate.clone(), options)
         if not result.succeeded:
             return False
         report = TranslationValidator().validate_compilation(result)
@@ -220,18 +221,13 @@ def _packet_predicate(
 
     def still_fails(candidate: ast.Program) -> bool:
         options = CompilerOptions(enabled_bugs=set(bugs), target=platform)
-        source = emit_program(candidate)
         try:
-            result = compile_prefix(candidate, source, options)
+            result = compile_front_midend(candidate.clone(), options)
             executable = spec.target_cls(options).link(result)
         except (CompilerCrash, CompilerError):
             return False
-        return (
-            packet_mismatch(
-                candidate, source, executable, spec, max_tests, sequence_length
-            )
-            is not None
-        )
+        sequences = build_test_sequences(candidate, max_tests, sequence_length)
+        return packet_mismatch(candidate, sequences, executable, spec) is not None
 
     return still_fails
 

@@ -17,6 +17,10 @@ for every candidate; the oracle
    would refuse, and
 2. runs the caller's ``still_fails`` predicate, treating any exception it
    raises as "the bug is gone" (a reduction step must never abort triage).
+   The verdict is remembered by the candidate's emitted source for the
+   life of the reduction: transformations revisit the same program (a
+   rejected edit restores the tree another class then re-proposes), and
+   the predicate is a function of the source alone.
 
 Everything here is deterministic: transformations enumerate edits in
 program order and the predicate is a pure function of the candidate, so
@@ -129,6 +133,8 @@ class ReductionOracle:
         self.attempts = 0
         self.accepted = 0
         self.typecheck_rejections = 0
+        #: Emitted source -> predicate verdict, for this reduction only.
+        self._verdicts: Dict[str, bool] = {}
 
     @property
     def exhausted(self) -> bool:
@@ -148,10 +154,14 @@ class ReductionOracle:
         except Exception:  # noqa: BLE001 - a checker crash is not a confirmation
             self.typecheck_rejections += 1
             return False
-        try:
-            verdict = bool(self.still_fails(candidate))
-        except Exception:  # noqa: BLE001 - predicate errors mean "bug gone"
-            return False
+        source = emit_program(candidate)
+        verdict = self._verdicts.get(source)
+        if verdict is None:
+            try:
+                verdict = bool(self.still_fails(candidate))
+            except Exception:  # noqa: BLE001 - predicate errors mean "bug gone"
+                verdict = False
+            self._verdicts[source] = verdict
         if verdict:
             self.accepted += 1
         return verdict

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.compiler import CompilerOptions, compile_prefix
+from repro.compiler import CompilerOptions, compile_front_midend
 from repro.compiler.bugs import SeededBug
 from repro.compiler.coverage import CoverageMap, feature_cell, program_features
 from repro.core.generator import (
@@ -46,7 +46,6 @@ from repro.core.generator import (
     RandomProgramGenerator,
     derive_child_seed,
 )
-from repro.p4 import emit_program
 
 __all__ = [
     "ARM_CATALOG",
@@ -268,8 +267,7 @@ def train_profiles(
     """Estimate per-arm coverage rates from short unseeded compile runs.
 
     Deliberately cheap: no seeded bugs, no oracles, no test generation —
-    just generate, compile through the bug-free pipeline (a shared-prefix
-    memo hit when the campaign later compiles the same source), and fold
+    just generate, compile through the bug-free pipeline, and fold
     the program-feature + pass/rule coverage into presence counts.
     """
 
@@ -285,7 +283,7 @@ def train_profiles(
             program = program_generator.generate_indexed(index)
             coverage = program_features(program)
             try:
-                result = compile_prefix(program, emit_program(program), options)
+                result = compile_front_midend(program, options)
                 coverage.update(result.coverage.to_dict())
             except Exception:  # noqa: BLE001 - profiling must never abort
                 pass

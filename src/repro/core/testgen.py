@@ -23,7 +23,6 @@ the control plane is installed once, before the first packet.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +37,7 @@ from repro.targets.state import PacketState, SwitchState, TableEntry, build_pack
 #: enough to observe every seeded stateful defect (a lost read-modify-write
 #: needs two state updates, a flush-time truncation needs a packet *after*
 #: the write) while keeping the solver's per-program work bounded; stateless
-#: programs are always collapsed to length 1 (:func:`cached_sequences`).
+#: programs are always collapsed to length 1 (:func:`build_test_sequences`).
 DEFAULT_SEQUENCE_LENGTH = 3
 
 
@@ -352,59 +351,13 @@ class SymbolicTestGenerator:
 
 
 # ----------------------------------------------------------------------
-# Process-wide test cache
+# Entry point of the §6 oracle
 # ----------------------------------------------------------------------
 
-#: Symbolic packet tests are a function of the *input* program and the
-#: test budget alone (the oracle never sees the backend), so they are
-#: shared between platforms, across the per-defect detection matrix, and
-#: across campaign work units scheduled onto the same worker process,
-#: keyed by ``(emitted source, max_tests)`` -- the budget is part of the
-#: key because the cache outlives any single campaign.  ``None`` records
-#: an oracle failure so it is not retried per platform.
-_TESTGEN_CACHE: "OrderedDict[Tuple[str, int], Optional[List[GeneratedTest]]]" = OrderedDict()
-_TESTGEN_CACHE_LIMIT = 256
-_TESTGEN_STATS = {"testgen_hits": 0, "testgen_misses": 0}
-_MISSING = object()
-
-
-def cached_tests(
-    program: ast.Program, source: str, max_tests: int
-) -> Optional[List[GeneratedTest]]:
-    """Generate (or recall) the symbolic packet tests for ``source``.
-
-    Returns ``None`` when the symbolic oracle cannot handle the program
-    (an oracle limitation, never a finding -- paper §5.2).
-    """
-
-    key = (source, max_tests)
-    tests = _TESTGEN_CACHE.get(key, _MISSING)
-    if tests is not _MISSING:
-        _TESTGEN_CACHE.move_to_end(key)
-        _TESTGEN_STATS["testgen_hits"] += 1
-        return tests
-    _TESTGEN_STATS["testgen_misses"] += 1
-    try:
-        tests = SymbolicTestGenerator(program, max_tests=max_tests).generate()
-    except InterpreterError:
-        tests = None
-    _TESTGEN_CACHE[key] = tests
-    while len(_TESTGEN_CACHE) > _TESTGEN_CACHE_LIMIT:
-        _TESTGEN_CACHE.popitem(last=False)
-    return tests
-
-
-#: Sequence tests get their own cache: the key also carries the sequence
-#: length, normalised to 1 for stateless programs so a campaign running
-#: with ``sequence_length=3`` still shares entries across its (mostly
-#: stateless) corpus instead of tripling the solver work.
-_SEQGEN_CACHE: "OrderedDict[Tuple[str, int, int], Optional[List[TestSequence]]]" = OrderedDict()
-
-
-def cached_sequences(
-    program: ast.Program, source: str, max_tests: int, sequence_length: int = 1
+def build_test_sequences(
+    program: ast.Program, max_tests: int, sequence_length: int = 1
 ) -> Optional[List[TestSequence]]:
-    """Generate (or recall) multi-packet test sequences for ``source``.
+    """The multi-packet test sequences of ``program``.
 
     Stateless programs always get length-1 sequences -- without registers
     there is nothing a later packet could observe, so the extra packets
@@ -416,39 +369,9 @@ def cached_sequences(
     length = max(1, sequence_length)
     if length > 1 and not program_has_state(program):
         length = 1
-    key = (source, max_tests, length)
-    sequences = _SEQGEN_CACHE.get(key, _MISSING)
-    if sequences is not _MISSING:
-        _SEQGEN_CACHE.move_to_end(key)
-        _TESTGEN_STATS["testgen_hits"] += 1
-        return sequences
-    _TESTGEN_STATS["testgen_misses"] += 1
     try:
-        sequences = SymbolicTestGenerator(
+        return SymbolicTestGenerator(
             program, max_tests=max_tests, sequence_length=length
         ).generate_sequences()
     except InterpreterError:
-        sequences = None
-    _SEQGEN_CACHE[key] = sequences
-    while len(_SEQGEN_CACHE) > _TESTGEN_CACHE_LIMIT:
-        _SEQGEN_CACHE.popitem(last=False)
-    return sequences
-
-
-def testgen_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of the process-wide test cache."""
-
-    return dict(
-        _TESTGEN_STATS,
-        testgen_entries=len(_TESTGEN_CACHE),
-        seqgen_entries=len(_SEQGEN_CACHE),
-    )
-
-
-def clear_testgen_cache() -> None:
-    """Drop the test caches (memory bound for long-lived services)."""
-
-    _TESTGEN_CACHE.clear()
-    _SEQGEN_CACHE.clear()
-    _TESTGEN_STATS["testgen_hits"] = 0
-    _TESTGEN_STATS["testgen_misses"] = 0
+        return None

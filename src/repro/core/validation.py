@@ -11,21 +11,20 @@ The validator also re-parses every emitted snapshot, which catches the
 "invalid transformation" bugs of §7.2 where a pass emits syntactically
 broken P4.
 
-Both the reparse check and the symbolic interpretation are memoised by
-snapshot *source* in bounded process-wide caches: the pass manager already
+A validator memoises the reparse verdict and the symbolic semantics of
+each snapshot *source* for its own lifetime: the pass manager already
 treats the emitted source as a snapshot's identity (snapshots with an
-unchanged source are skipped, §5.2), and campaigns revisit the same sources
-constantly -- the per-defect detection matrix regenerates the same programs
-for every defect, and most passes leave most programs untouched -- so each
-distinct snapshot is lexed/parsed/interpreted exactly once per campaign.
+unchanged source are skipped, §5.2), and the campaign engine keeps one
+validator per program, so the two prefix compilations of a seeded program
+(p4c's defects and the back ends' clean chain) share every snapshot up to
+the first pass a defect changes.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, Tuple
 
 from repro import smt
 from repro.compiler.pass_manager import CompilationResult, PassSnapshot
@@ -34,110 +33,16 @@ from repro.p4 import parse_program
 from repro.p4.lexer import LexerError
 from repro.p4.parser import ParserError
 
-_V = TypeVar("_V")
-
-
-class _SourceCache(Generic[_V]):
-    """A small LRU keyed by program source.
-
-    CPython caches ``str.__hash__``, so using the source text itself as the
-    key costs one hash per *string object*, cheaper than digesting.
-    """
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, _V]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, source: str) -> Optional[_V]:
-        entry = self._entries.get(source)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(source)
-        self.hits += 1
-        return entry
-
-    def put(self, source: str, value: _V) -> None:
-        self._entries[source] = value
-        self._entries.move_to_end(source)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:  # pragma: no cover - trivial
-        return len(self._entries)
-
-
-#: source -> reparse verdict (None when the snapshot reparses cleanly,
-#: otherwise the error message).
-_REPARSE_CACHE: _SourceCache[Tuple[Optional[str]]] = _SourceCache()
-
-#: source -> symbolic semantics of every block.  Consumers only read the
-#: cached ``BlockSemantics`` (terms are immutable), so sharing is safe.
-_INTERP_CACHE: _SourceCache[Dict[str, BlockSemantics]] = _SourceCache()
-
-#: source -> term-shape histogram of the program's symbolic semantics.
-_SHAPE_CACHE: _SourceCache[Dict[str, int]] = _SourceCache()
-
-
-def clear_validation_caches() -> None:
-    """Drop the reparse and interpretation caches (memory bound for services)."""
-
-    _REPARSE_CACHE.clear()
-    _INTERP_CACHE.clear()
-    _SHAPE_CACHE.clear()
-
-
-def validation_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters (and entry-count gauges) for the validation caches.
-
-    The campaign engine snapshots these around every work unit and ships
-    the per-unit deltas of the monotone counters back to the parent, so
-    campaign-level totals stay truthful when validation runs in worker
-    processes (each with its own caches).
-    """
-
-    return {
-        "reparse_hits": _REPARSE_CACHE.hits,
-        "reparse_misses": _REPARSE_CACHE.misses,
-        "interp_hits": _INTERP_CACHE.hits,
-        "interp_misses": _INTERP_CACHE.misses,
-        "reparse_entries": len(_REPARSE_CACHE),
-        "interp_entries": len(_INTERP_CACHE),
-        "shape_entries": len(_SHAPE_CACHE),
-    }
-
-
-def term_shape_histogram(snapshot: PassSnapshot) -> Dict[str, int]:
-    """``term op -> node count`` over the snapshot's symbolic semantics.
+def term_shape_histogram(semantics: Dict[str, BlockSemantics]) -> Dict[str, int]:
+    """``term op -> node count`` over a snapshot's symbolic semantics.
 
     Walks the output (and state-output) term DAGs of every block once,
     memoised on ``id()``: hash-consing interns structurally equal terms to
     one object, so the walk touches each distinct subterm exactly once and
     the histogram is near-free on top of an interpretation that validation
-    performs (and caches) anyway.  Programs whose semantics cannot be
-    interpreted yield an empty histogram — shape coverage is best-effort
-    feedback, never an oracle.
+    performs anyway.
     """
 
-    cached = _SHAPE_CACHE.get(snapshot.source)
-    if cached is None:
-        cached = _compute_shape_histogram(snapshot)
-        _SHAPE_CACHE.put(snapshot.source, cached)
-    return dict(cached)
-
-
-def _compute_shape_histogram(snapshot: PassSnapshot) -> Dict[str, int]:
-    try:
-        semantics = TranslationValidator._interpret(snapshot)
-    except Exception:  # noqa: BLE001 - coverage must never fail a unit
-        return {}
     histogram: Dict[str, int] = {}
     seen: set = set()
     stack: List["smt.Term"] = []
@@ -207,6 +112,11 @@ class TranslationValidator:
 
     def __init__(self, stop_at_first_divergence: bool = True) -> None:
         self.stop_at_first_divergence = stop_at_first_divergence
+        #: source -> reparse error (``None`` when the snapshot reparses).
+        self._reparse_errors: Dict[str, Optional[str]] = {}
+        #: source -> symbolic semantics of every block.  Consumers only
+        #: read the ``BlockSemantics`` (terms are immutable).
+        self._semantics: Dict[str, Dict[str, BlockSemantics]] = {}
 
     # -- entry points ---------------------------------------------------------
 
@@ -244,9 +154,9 @@ class TranslationValidator:
         chain_solver = smt.Solver()
         try:
             previous = snapshots[0]
-            previous_semantics = self._interpret(previous)
+            previous_semantics = self.interpret(previous)
             for snapshot in snapshots[1:]:
-                current_semantics = self._interpret(snapshot)
+                current_semantics = self.interpret(snapshot)
                 # Gang every output-field check of this pair into one
                 # incremental UNSAT probe (with the per-pair syntactic
                 # fast paths and the campaign-lifetime equivalence memo
@@ -281,23 +191,28 @@ class TranslationValidator:
         """Check a single pair of snapshots."""
 
         return self._compare(
-            before, after, self._interpret(before), self._interpret(after)
+            before, after, self.interpret(before), self.interpret(after)
         )
+
+    def interpret(self, snapshot: PassSnapshot) -> Dict[str, BlockSemantics]:
+        """The snapshot's symbolic semantics, interpreted once per source."""
+
+        semantics = self._semantics.get(snapshot.source)
+        if semantics is None:
+            semantics = SymbolicInterpreter(snapshot.program).interpret()
+            self._semantics[snapshot.source] = semantics
+        return semantics
 
     # -- internals ----------------------------------------------------------------
 
-    @staticmethod
-    def _reparse_error(source: str) -> Optional[str]:
-        cached = _REPARSE_CACHE.get(source)
-        if cached is not None:
-            return cached[0]
-        try:
-            parse_program(source)
-            error: Optional[str] = None
-        except (ParserError, LexerError) as exc:
-            error = str(exc)
-        _REPARSE_CACHE.put(source, (error,))
-        return error
+    def _reparse_error(self, source: str) -> Optional[str]:
+        if source not in self._reparse_errors:
+            try:
+                parse_program(source)
+                self._reparse_errors[source] = None
+            except (ParserError, LexerError) as exc:
+                self._reparse_errors[source] = str(exc)
+        return self._reparse_errors[source]
 
     @staticmethod
     def _pair_terms(
@@ -327,14 +242,6 @@ class TranslationValidator:
                     continue
                 pairs.append((before_term, after_term))
         return pairs
-
-    @staticmethod
-    def _interpret(snapshot: PassSnapshot) -> Dict[str, BlockSemantics]:
-        semantics = _INTERP_CACHE.get(snapshot.source)
-        if semantics is None:
-            semantics = SymbolicInterpreter(snapshot.program).interpret()
-            _INTERP_CACHE.put(snapshot.source, semantics)
-        return semantics
 
     def _compare(
         self,

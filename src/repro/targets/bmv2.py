@@ -87,10 +87,9 @@ class Bmv2Target:
     def link(self, result: CompilationResult) -> Bmv2Executable:
         """Lower an already-compiled front/mid-end result.
 
-        The campaign engine compiles the shared prefix once per program
-        (:func:`repro.compiler.compile_prefix`) and hands the same
-        ``CompilationResult`` to every back end, so the lowering must only
-        *read* it.  Raises the recorded crash/rejection, exactly as
+        The campaign engine compiles the shared front/mid end once per
+        program and hands the same ``CompilationResult`` to every back
+        end, so the lowering must only *read* it.  Raises the recorded crash/rejection, exactly as
         :meth:`compile` does.
         """
 

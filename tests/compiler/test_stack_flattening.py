@@ -13,6 +13,7 @@ import pytest
 from repro.compiler import CompilerOptions, compile_front_midend
 from repro.core.generator import GeneratorConfig, RandomProgramGenerator
 from repro.core.reduce.oracles import packet_mismatch
+from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH, build_test_sequences
 from repro.core.validation import TranslationValidator, ValidationOutcome
 from repro.p4 import ast, emit_program, parse_program
 from repro.targets import BACKEND_REGISTRY
@@ -155,10 +156,10 @@ class TestFlatteningEquivalence:
         generator = RandomProgramGenerator(GeneratorConfig(seed=9, p_header_stack=1.0))
         for index in range(4):
             program = generator.generate_indexed(index)
-            source = emit_program(program)
             target = spec.target_cls(CompilerOptions(target=platform))
             executable = target.compile(program.clone())
-            mismatch = packet_mismatch(program, source, executable, spec, 6)
+            sequences = build_test_sequences(program, 6, DEFAULT_SEQUENCE_LENGTH)
+            mismatch = packet_mismatch(program, sequences, executable, spec)
             assert mismatch is None, (index, mismatch)
 
 

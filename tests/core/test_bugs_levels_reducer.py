@@ -165,3 +165,34 @@ control ingress(inout Headers hdr) {
         result = reduce_program(program, still_crashes)
         assert still_crashes(result.program)
         assert len(result.program.controls()[0].apply.statements) <= 2
+
+    def test_oracle_remembers_verdicts_by_source_within_one_reduction(self):
+        from repro.core.reduce.reducer import ReductionOracle
+
+        calls = []
+
+        def still_fails(candidate):
+            calls.append(candidate)
+            return True
+
+        oracle = ReductionOracle(still_fails)
+        program = parse_program(VALID_PROGRAM)
+        # The same program twice, as two distinct trees: one predicate call,
+        # but both attempts are counted and both are accepted.
+        assert oracle.accepts(program)
+        assert oracle.accepts(program.clone())
+        assert len(calls) == 1
+        assert (oracle.attempts, oracle.accepted) == (2, 2)
+        # A fresh oracle (the next reduction) starts with no memory.
+        assert ReductionOracle(still_fails).accepts(program)
+        assert len(calls) == 2
+
+    def test_oracle_typechecks_before_consulting_its_memory(self):
+        from repro.core.reduce.reducer import ReductionOracle
+
+        calls = []
+        oracle = ReductionOracle(lambda candidate: calls.append(candidate) or True)
+        ill_typed = parse_program(VALID_PROGRAM.replace("hdr.h.a =", "hdr.h.zz ="))
+        assert not oracle.accepts(ill_typed)
+        assert not oracle.accepts(ill_typed)
+        assert (oracle.attempts, oracle.typecheck_rejections, len(calls)) == (2, 2, 0)

@@ -152,3 +152,52 @@ class TestCorpusGuard:
         for index in range(12):
             digest.update(emit_program(generator.generate_indexed(index)).encode())
         assert digest.hexdigest() == SEED0_CORPUS_SHA256
+
+
+class TestSwallowedCoverageErrors:
+    """Coverage never fails a unit, but every failure it swallows is counted."""
+
+    def _campaign(self, **overrides):
+        base = dict(programs=3, seed=0, enabled_bugs=BUGS, platforms=PLATFORMS)
+        base.update(overrides)
+        return Campaign(CampaignConfig(**base)).run()
+
+    def test_clean_campaign_counts_no_coverage_errors(self):
+        stats = self._campaign()
+        assert stats.counters["coverage_errors"] == 0
+        assert stats.coverage()
+
+    def test_failing_feature_walk_is_counted_per_unit(self, monkeypatch):
+        from repro.core.engine import stages
+
+        reference = self._campaign()
+
+        def broken_walk(program):
+            raise RuntimeError("feature walk failed")
+
+        monkeypatch.setattr(stages, "program_features", broken_walk)
+        stats = self._campaign()
+        assert stats.counters["coverage_errors"] == stats.units_total == 6
+        assert stats.coverage() == {}
+        # Findings do not depend on coverage.
+        assert report_blob(stats) == report_blob(reference)
+
+    def test_failing_shape_interpretation_is_counted(self, monkeypatch):
+        from repro.core.interpreter import InterpreterError
+        from repro.core.validation import TranslationValidator
+
+        def broken_interpret(self, snapshot):
+            raise InterpreterError("interpreter failed")
+
+        # The back ends' prefix validation reads the interpreter failure as
+        # an oracle limitation and still runs the packet tests.
+        reference = self._campaign(platforms=("bmv2",))
+        monkeypatch.setattr(TranslationValidator, "interpret", broken_interpret)
+        stats = self._campaign(platforms=("bmv2",))
+        # Every program's final snapshot fails to interpret: counted once
+        # per unit, and the unit keeps its pass/rule/feature cells.
+        assert stats.counters["coverage_errors"] == stats.units_total == 3
+        assert stats.coverage()
+        assert not any(cell.startswith("shape:") for cell in stats.coverage())
+        assert any(cell.startswith("shape:") for cell in reference.coverage())
+        assert reference.counters["coverage_errors"] == 0

@@ -25,6 +25,7 @@ from repro.core.engine import (
     CoordinatorService,
     DistributedExecutor,
     OutcomeDedup,
+    ProgramOutcome,
     UnitOutcome,
     build_units,
     campaign_key,
@@ -94,11 +95,17 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 
 def _clean_outcome(unit):
-    return UnitOutcome(
+    return ProgramOutcome(
         program_index=unit.program_index,
-        platform=unit.platform,
-        status=STATUS_CLEAN,
-        source="",
+        outcomes=[
+            UnitOutcome(
+                program_index=unit.program_index,
+                platform=platform,
+                status=STATUS_CLEAN,
+                source="",
+            )
+            for platform in unit.platforms
+        ],
     )
 
 
@@ -265,7 +272,7 @@ class TestWorkerDeath:
         spec = small_spec()
         serial = CampaignEngine(spec).run()
 
-        # Worker 0 hard-exits (os._exit, no goodbye) after 2 units — mid
+        # Worker 0 hard-exits (os._exit, no goodbye) after 2 programs — mid
         # lease, since leases carry 3.  Its range must be reclaimed after
         # one TTL and finish elsewhere, with the identical merged report.
         executor = DistributedExecutor(
@@ -326,22 +333,28 @@ class TestCoordinatorResume:
         ]
         assert issued_before  # the journal survived the kill too
 
+        # The cut falls inside program 1: its p4c outcome survived, its
+        # bmv2 outcome did not.
+        assert sorted(survivors) == [(0, "bmv2"), (0, "p4c"), (1, "p4c")]
+
         # The restarted coordinator reloads the store, re-leases only the
-        # missing units, and finishes to the identical result.
+        # programs with missing platforms, and finishes to the identical
+        # result.
         resumed = CampaignEngine(
             spec, executor=DistributedExecutor(1, lease_units=2)
         ).run()
         assert reports(resumed) == reports(reference)
         assert headline(resumed) == headline(reference)
         assert resumed.units_reused == len(survivors)
-        # Finished units are never re-run: every lease issued after the
-        # kill covers only the units missing from the store.
+        # Finished programs are never re-run: every lease issued after the
+        # kill covers only the programs with a platform missing from the
+        # store (leases count programs).
         issued_after = [
             event for event in store.load_lease_events(key)
             if event["event"] == "issued"
         ][len(issued_before):]
         released = sum(event["count"] for event in issued_after)
-        assert released == resumed.units_total - resumed.units_reused
+        assert released == spec.programs - 1
 
         # And a further re-run reuses everything without a single lease.
         final = CampaignEngine(
@@ -362,17 +375,17 @@ class TestSharedDedup:
             enabled_bugs=ENABLED,
             max_tests=4,
         )[0]
-        first = _clean_outcome(unit)
+        (first,) = _clean_outcome(unit).outcomes
         second = UnitOutcome(
             program_index=unit.program_index,
-            platform=unit.platform,
+            platform="p4c",
             status="rejected",
             source="late duplicate",
         )
         store.append("k", first)
         store.append("k", second)
         loaded = store.load("k")
-        assert loaded[unit.key].status == STATUS_CLEAN  # first write won
+        assert loaded[(0, "p4c")].status == STATUS_CLEAN  # first write won
 
     def test_dedup_helper_counts_duplicates(self):
         dedup = OutcomeDedup()
@@ -393,7 +406,8 @@ class TestSharedDedup:
             enabled_bugs=ENABLED,
             max_tests=4,
         )[0]
-        store.append("k", _clean_outcome(unit))
+        (outcome,) = _clean_outcome(unit).outcomes
+        store.append("k", outcome)
         store.append_lease_event("k", {"event": "completed", "lease": "L1"})
         assert len(store.load("k")) == 1
         assert store.load_triage("k") == {}
@@ -452,6 +466,8 @@ class TestSpecWiring:
         from repro.core.engine.units import WorkUnit
 
         back = WorkUnit.from_dict(payload)
+        assert back == unit
         assert back.key == unit.key
+        assert back.platforms == ("bmv2",)
         assert back.generator == unit.generator
         assert back.enabled_bugs == unit.enabled_bugs

@@ -22,6 +22,7 @@ from repro.core.engine import (
     CampaignEngine,
     CampaignSpec,
     FindingRecord,
+    ProgramOutcome,
     UnitOutcome,
     WorkUnit,
     build_units,
@@ -92,11 +93,10 @@ class TestUnits:
     def test_build_units_is_deterministic_and_ordered(self):
         generator = GeneratorConfig(seed=0)
         units = build_units(3, ("tofino", "p4c", "bmv2"), generator, (), 4)
-        assert [unit.key for unit in units] == [
-            (0, "p4c"), (0, "bmv2"), (0, "tofino"),
-            (1, "p4c"), (1, "bmv2"), (1, "tofino"),
-            (2, "p4c"), (2, "bmv2"), (2, "tofino"),
-        ]
+        assert [unit.key for unit in units] == [0, 1, 2]
+        assert {unit.platforms for unit in units} == {("p4c", "bmv2", "tofino")}
+        shifted = build_units(2, ("p4c",), generator, (), 4, start=5)
+        assert [unit.key for unit in shifted] == [5, 6]
 
     def test_outcome_json_round_trip(self):
         outcome = UnitOutcome(
@@ -130,16 +130,29 @@ class TestUnits:
     def test_run_unit_reports_counter_deltas(self):
         unit = WorkUnit(
             program_index=0,
-            platform="p4c",
+            platforms=("p4c", "bmv2"),
             generator=GeneratorConfig(seed=3),
         )
-        outcome = run_unit(unit)
-        assert outcome.platform == "p4c"
-        assert outcome.source.startswith("header") or "control" in outcome.source
-        # Deltas, not absolutes: a fresh unit on a fresh program must have
-        # done *some* validation work, and no gauge keys leak through.
-        assert outcome.counters.get("solver_checks", 0) >= 0
-        assert not any(key.endswith("_entries") for key in outcome.counters)
+        program = run_unit(unit)
+        assert program.key == 0
+        assert [outcome.key for outcome in program.outcomes] == [(0, "p4c"), (0, "bmv2")]
+        p4c, bmv2 = program.outcomes
+        assert p4c.source.startswith("header") or "control" in p4c.source
+        assert bmv2.source == p4c.source
+        # Deltas, not absolutes: each platform reports the work of its own
+        # share of the check, and no gauge keys leak through.
+        for outcome in program.outcomes:
+            assert outcome.counters.get("solver_checks", 0) >= 0
+            assert outcome.counters["coverage_errors"] == 0
+            assert not any(key.endswith("_entries") for key in outcome.counters)
+        assert bmv2.counters["packets_replayed"] > 0
+        assert p4c.counters["packets_replayed"] == 0
+
+    def test_program_outcome_json_round_trip(self):
+        program = run_unit(
+            WorkUnit(program_index=1, platforms=("p4c", "tofino"), generator=GeneratorConfig(seed=3))
+        )
+        assert ProgramOutcome.from_dict(json.loads(json.dumps(program.to_dict()))) == program
 
 
 class TestExecutorEquivalence:
@@ -176,9 +189,13 @@ class TestExecutorEquivalence:
         # Worker processes did the solving; their counters must surface in
         # the merged campaign result (satellite: truthful benchmarks).
         assert stats.counters["solver_checks"] > 0
-        # Forked workers inherit warm caches, so only the *lookup* count is
-        # guaranteed to be non-zero, not the miss count.
-        assert stats.counters["interp_hits"] + stats.counters["interp_misses"] > 0
+        # Forked workers inherit a warm bit-blast memo, so only the *lookup*
+        # count is guaranteed to be non-zero, not the miss count.
+        assert (
+            stats.counters["solver_bitblast_hits"] + stats.counters["solver_bitblast_misses"]
+            > 0
+        )
+        assert stats.counters["packets_replayed"] > 0
 
 
 class TestResume:
@@ -209,6 +226,61 @@ class TestResume:
         assert resumed.units_total == first.units_total
         assert reports(resumed) == reports(uninterrupted)
         assert headline(resumed) == headline(uninterrupted)
+
+    def test_partly_stored_program_reruns_only_its_missing_platforms(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.engine import stages
+
+        tmp_path = str(tmp_path)
+        uninterrupted = Campaign(small_config()).run()
+        config = self._config(tmp_path)
+        first = Campaign(config).run()
+        path = config.artifact_path
+        lines = open(path).read().splitlines(True)
+
+        # Drop two of program 5's three platforms from the store.
+        dropped = {(5, "bmv2"), (5, "tofino")}
+
+        def kept(line):
+            outcome = json.loads(line)["outcome"]
+            return (outcome["program_index"], outcome["platform"]) not in dropped
+
+        with open(path, "w") as handle:
+            handle.writelines(line for line in lines if kept(line))
+
+        scheduled = []
+        run_unit = stages.run_unit
+
+        def spy_run_unit(unit):
+            scheduled.append((unit.program_index, unit.platforms))
+            return run_unit(unit)
+
+        monkeypatch.setattr(stages, "run_unit", spy_run_unit)
+        resumed = Campaign(self._config(tmp_path)).run()
+        assert scheduled == [(5, ("bmv2", "tofino"))]
+        assert resumed.units_total == first.units_total
+        assert resumed.units_reused == first.units_total - 2
+        assert reports(resumed) == reports(uninterrupted)
+        assert headline(resumed) == headline(uninterrupted)
+
+        # The re-run platforms were stored line for line as before.
+        def by_unit(store_lines):
+            entries = {}
+            for line in store_lines:
+                outcome = json.loads(line)["outcome"]
+                outcome.pop("elapsed_s")
+                entries[(outcome["program_index"], outcome["platform"])] = outcome
+            return entries
+
+        before = by_unit(lines)
+        after = by_unit(open(path).read().splitlines(True))
+        assert after.keys() == before.keys()
+        for unit in dropped:
+            assert after[unit]["status"] == before[unit]["status"]
+            assert after[unit]["findings"] == before[unit]["findings"]
+            assert after[unit]["source"] == before[unit]["source"]
+            assert after[unit]["coverage"] == before[unit]["coverage"]
 
     def test_completed_campaign_is_fully_reused(self, tmp_path):
         config = self._config(str(tmp_path))
@@ -278,7 +350,7 @@ class TestPerPlatformRejection:
         from repro.core.engine import stages
 
         monkeypatch.setattr(
-            stages, "_p4c_stage", lambda unit, program, source: ("rejected", [])
+            stages._ProgramCheck, "_check_p4c", lambda self: ("rejected", [])
         )
         spec = CampaignSpec(
             programs=10,

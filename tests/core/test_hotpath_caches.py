@@ -1,32 +1,23 @@
-"""Regression tests for the PR 7 validation hot path.
+"""Regression tests for the validation hot path.
 
-Three properties the campaign engine must keep:
+Two properties the campaign engine must keep:
 
-* the shared front/mid-end prefix is compiled once per program and reused
-  by every backend unit (prefix memo),
-* the reparse/interp snapshot caches actually *hit* on a multi-platform
-  campaign (they were structurally unable to before backend units re-walked
-  the shared prefix), and
+* a program is checked once: each (program, prefix-defect set) is
+  compiled once and each distinct snapshot source is interpreted once per
+  program, however many platforms the program is checked on, and
 * batched equivalence checking is a pure accelerator — forcing the
   sequential fallback yields an identical validation report.
 """
 
+from collections import Counter
+
 from repro import smt
-from repro.compiler import (
-    CompilerOptions,
-    clear_prefix_cache,
-    compile_front_midend,
-    compile_prefix,
-    prefix_cache_stats,
-)
+from repro.compiler import CompilerOptions, compile_front_midend
+from repro.core import validation
 from repro.core.campaign import Campaign, CampaignConfig
-from repro.core.engine.stages import reset_worker_state
-from repro.core.generator import GeneratorConfig, RandomProgramGenerator
-from repro.core.validation import (
-    TranslationValidator,
-    ValidationOutcome,
-    clear_validation_caches,
-)
+from repro.core.engine import stages
+from repro.core.generator import GeneratorConfig
+from repro.core.validation import TranslationValidator, ValidationOutcome
 from repro.p4 import emit_program
 
 
@@ -36,67 +27,61 @@ def small_generator(seed):
     )
 
 
-class TestPrefixMemo:
-    def test_backend_units_share_one_prefix_compilation(self):
-        reset_worker_state()
-        program = RandomProgramGenerator(small_generator(3)).generate_indexed(0)
-        source = emit_program(program)
-        options = CompilerOptions(enabled_bugs=set())
-        first = compile_prefix(program, source, options)
-        second = compile_prefix(program, source, options)
-        assert second is first
-        stats = prefix_cache_stats()
-        assert stats["prefix_misses"] == 1
-        assert stats["prefix_hits"] == 1
+class TestEachProgramIsCheckedOnce:
+    """Spy on the compiler and the interpreter during a ``jobs=1`` campaign."""
 
-    def test_backend_bugs_do_not_split_the_key(self):
-        # Backend-located defects never run in the front/mid end, so a
-        # p4c unit and a tofino unit with a tofino bug share one prefix.
-        reset_worker_state()
-        program = RandomProgramGenerator(small_generator(4)).generate_indexed(0)
-        source = emit_program(program)
-        plain = compile_prefix(program, source, CompilerOptions(enabled_bugs=set()))
-        tofino = compile_prefix(
-            program,
-            source,
-            CompilerOptions(
-                enabled_bugs={"tofino_slice_assignment_drop"}, target="tofino"
-            ),
-        )
-        assert tofino is plain
+    BUGS = ("constant_folding_no_mask", "bmv2_wide_field_truncation")
 
-    def test_frontend_bugs_do_split_the_key(self):
-        reset_worker_state()
-        program = RandomProgramGenerator(small_generator(5)).generate_indexed(0)
-        source = emit_program(program)
-        plain = compile_prefix(program, source, CompilerOptions(enabled_bugs=set()))
-        bugged = compile_prefix(
-            program, source, CompilerOptions(enabled_bugs={"constant_folding_no_mask"})
-        )
-        assert bugged is not plain
+    def _spy_campaign(self, monkeypatch, programs=4):
+        current = {"index": None}
+        compiles = []
+        interpretations = []
+        run_unit = stages.run_unit
+        compile_real = stages.compile_front_midend
 
+        def spy_run_unit(unit):
+            current["index"] = unit.program_index
+            return run_unit(unit)
 
-class TestCampaignCachesHit:
-    def test_multi_platform_campaign_reuses_snapshots(self):
-        # Regression for the zero-hit caches: before backend units
-        # validated the shared prefix, reparse_hits and interp_hits were
-        # structurally stuck at 0 — only p4c units touched the caches, and
-        # every p4c snapshot source is distinct.
-        reset_worker_state()
-        clear_validation_caches()
-        campaign = Campaign(
+        def spy_compile(program, options):
+            compiles.append((current["index"], frozenset(options.enabled_bugs)))
+            return compile_real(program, options)
+
+        class SpyInterpreter(validation.SymbolicInterpreter):
+            def interpret(self):
+                interpretations.append((current["index"], emit_program(self.program)))
+                return super().interpret()
+
+        monkeypatch.setattr(stages, "run_unit", spy_run_unit)
+        monkeypatch.setattr(stages, "compile_front_midend", spy_compile)
+        monkeypatch.setattr(validation, "SymbolicInterpreter", SpyInterpreter)
+        stats = Campaign(
             CampaignConfig(
-                programs=4,
+                programs=programs,
                 seed=11,
-                enabled_bugs=(),
+                enabled_bugs=self.BUGS,
                 platforms=("p4c", "bmv2", "tofino"),
                 generator=small_generator(11),
             )
-        )
-        stats = campaign.run()
-        assert stats.counters.get("reparse_hits", 0) > 0
-        assert stats.counters.get("interp_hits", 0) > 0
-        assert stats.counters.get("prefix_hits", 0) > 0
+        ).run()
+        return stats, compiles, interpretations
+
+    def test_each_prefix_defect_set_is_compiled_once_per_program(self, monkeypatch):
+        stats, compiles, _ = self._spy_campaign(monkeypatch)
+        assert stats.units_total == 12
+        # p4c compiles with its front/mid-end defect, the two back ends
+        # share one clean prefix (backend defects never reach it).
+        assert Counter(compiles) == {
+            (index, bugs): 1
+            for index in range(4)
+            for bugs in (frozenset({"constant_folding_no_mask"}), frozenset())
+        }
+
+    def test_each_snapshot_source_is_interpreted_once_per_program(self, monkeypatch):
+        stats, _, interpretations = self._spy_campaign(monkeypatch)
+        assert interpretations
+        repeated = [key for key, count in Counter(interpretations).items() if count > 1]
+        assert repeated == []
         # Clean chains settle in ganged UNSAT checks, not per-pair solves.
         assert stats.counters.get("solver_batched_checks", 0) > 0
 
@@ -104,7 +89,6 @@ class TestCampaignCachesHit:
 class TestSequentialFallbackIsPureSlowdown:
     def _reports(self, source, bugs, monkeypatch):
         def run(batched):
-            clear_validation_caches()
             smt.clear_equivalence_cache()
             result = compile_front_midend(
                 source, CompilerOptions(enabled_bugs=set(bugs))

@@ -10,7 +10,7 @@ survive the store wire formats and the triage stage.
 
 import pytest
 
-from repro.compiler import CompilerOptions, compile_prefix
+from repro.compiler import CompilerOptions, compile_front_midend
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.engine.units import (
     FindingRecord,
@@ -22,7 +22,7 @@ from repro.core.generator import GeneratorConfig, RandomProgramGenerator
 from repro.core.reduce.oracles import build_predicate, packet_mismatch
 from repro.core.reduce.reducer import gate_polish_transforms, reduce_program
 from repro.core.reduce.transforms import shrink_registers
-from repro.core.testgen import cached_sequences, program_has_state
+from repro.core.testgen import build_test_sequences, program_has_state
 from repro.p4 import ast, check_program, emit_program, parse_program
 from repro.targets import BACKEND_REGISTRY
 
@@ -70,10 +70,10 @@ control ingress(inout Headers hdr) {
 """
 
 
-def _link_backend(program, source, platform, enabled_bugs=()):
+def _link_backend(program, platform, enabled_bugs=()):
     spec = BACKEND_REGISTRY[platform]
     options = CompilerOptions(enabled_bugs=set(enabled_bugs), target=platform)
-    result = compile_prefix(program, source, options)
+    result = compile_front_midend(program.clone(), options)
     return spec.target_cls(options).link(result), spec
 
 
@@ -315,8 +315,8 @@ class TestSequenceResume:
         a clean backend never produces a finding."""
 
         program = parse_program(STATEFUL_SOURCE)
-        executable, spec = _link_backend(program, STATEFUL_SOURCE, "ebpf")
-        sequences = cached_sequences(program, STATEFUL_SOURCE, 4, 3)
+        executable, spec = _link_backend(program, "ebpf")
+        sequences = build_test_sequences(program, 4, 3)
         assert sequences and len(sequences[0].packets) == 3
 
         # Simulate the kill: replay one packet, then abandon the sequence,
@@ -340,9 +340,7 @@ class TestSequenceResume:
 
         # The resumed oracle replays from packet 0 with reset state; the
         # polluted cells must not leak into the final-state comparison.
-        assert packet_mismatch(
-            program, STATEFUL_SOURCE, executable, spec, 4, 3
-        ) is None
+        assert packet_mismatch(program, sequences, executable, spec) is None
 
     def test_interrupted_campaign_resumes_to_identical_reports(self, tmp_path):
         path = str(tmp_path / "stateful.jsonl")
@@ -387,7 +385,7 @@ class TestSequenceWireFormats:
     def test_work_unit_round_trips_sequence_length(self):
         unit = WorkUnit(
             program_index=2,
-            platform="ebpf",
+            platforms=("ebpf",),
             generator=GeneratorConfig(seed=9, p_register=0.5),
             enabled_bugs=(EBPF_DEFECT,),
             sequence_length=3,
