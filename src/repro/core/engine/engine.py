@@ -117,6 +117,9 @@ class DetectionRecord:
     #: Knob-vector provenance: which scheduler arm generated the detecting
     #: programs ("static" when the static steering table was used).
     knob_arm: str = "static"
+    #: Calibration programs of that arm whose compilation raised (their
+    #: profile counts only program features); 0 without calibration.
+    profile_errors: int = 0
 
 
 @dataclass(frozen=True)
@@ -552,11 +555,17 @@ class CampaignEngine:
         spec = self.spec
         targets = list(bug_ids) if bug_ids is not None else list(BUG_CATALOG)
         arms: Dict[str, Optional[KnobArm]] = {bug_id: None for bug_id in targets}
+        profile_errors: Dict[str, int] = {}
         if schedule:
             profiles = train_profiles(spec.generator, programs_per_arm=programs_per_arm)
             arms = {
                 bug_id: choose_arm_for_defect(BUG_CATALOG[bug_id], profiles)
                 for bug_id in targets
+            }
+            profile_errors = {
+                bug_id: profiles[arm.name].errors
+                for bug_id, arm in arms.items()
+                if arm is not None
             }
         tasks = [
             _MatrixTask(
@@ -587,6 +596,7 @@ class CampaignEngine:
                 technique=results[bug_id]["technique"],
                 programs_tried=results[bug_id]["attempts"],
                 knob_arm=str(results[bug_id]["knob_arm"]),
+                profile_errors=profile_errors.get(bug_id, 0),
             )
             for bug_id in targets
         ]

@@ -119,9 +119,10 @@ class CampaignStatistics:
     semantic_findings: int = 0
     tracker: BugTracker = field(default_factory=BugTracker)
     #: Summed worker observability deltas (``solver_*`` STATS, replay
-    #: tallies, ``coverage_errors``).  Totals reflect the work actually
-    #: performed, so they vary with executor/memo locality — unlike the
-    #: tracker, which is executor-invariant.
+    #: tallies, ``coverage_errors``, ``bisect_link_failures``).  Totals
+    #: count the work actually performed, so store-resumed outcomes add
+    #: nothing; every unit starts from empty term tables, so they do not
+    #: depend on the executor.
     counters: Dict[str, int] = field(default_factory=dict)
     #: How many work units the campaign comprised, and how many were
     #: served from the artifact store instead of being recomputed.

@@ -7,16 +7,18 @@ front/mid-end defect set once (p4c's, and the back ends' clean chain —
 backend defects never reach the prefix), validates and interprets each of
 those compilations once, builds the §6 test sequences once, and links and
 packet-tests every back end from those locals.  Nothing is shared between
-programs except the term-level memos of :mod:`repro.smt` (interning,
-simplify, bit-blast, the equivalence memo), which hit across programs, so
-a unit's work does not depend on which process it lands in.  The only
-thing that crosses back to the parent is the JSON-serialisable
-:class:`~repro.core.engine.units.ProgramOutcome`.
+programs: :func:`run_unit` and :func:`run_triage_unit` begin by clearing
+the term state of :mod:`repro.smt` (the intern table and the simplify and
+equivalence memos keyed by it), so a worker's memory is bounded by one
+program and a unit's work does not depend on which process it lands in
+or what ran there before.  The only thing that crosses back to the parent
+is the JSON-serialisable :class:`~repro.core.engine.units.ProgramOutcome`.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -128,6 +130,8 @@ class _ProgramCheck:
         self.validator = TranslationValidator()
         self._compiled: Dict[FrozenSet[str], CompilationResult] = {}
         self._validated: Dict[FrozenSet[str], ValidationReport] = {}
+        #: platform -> enabled defects bisection could not link alone.
+        self.bisect_link_failures: Counter = Counter()
 
     @cached_property
     def program(self) -> ast.Program:
@@ -260,7 +264,10 @@ class _ProgramCheck:
             try:
                 executable = target.link(self.compiled(_CLEAN_PREFIX))
             except (CompilerCrash, CompilerError):
-                continue  # the lone defect breaks compilation: not this mismatch
+                # The lone defect breaks compilation: not this mismatch, but
+                # a defect bisection could not test, so it is counted.
+                self.bisect_link_failures[platform] += 1
+                continue
             if packet_mismatch(self.program, self.sequences, executable, spec):
                 attributed.append(bug_id)
         return tuple(attributed)
@@ -314,8 +321,11 @@ def run_unit(unit: WorkUnit) -> ProgramOutcome:
     module-level (picklable by reference) and must never raise — an oracle
     failure is an outcome, not an exception.  Each platform's outcome
     carries the time and counter deltas of its own share of the check.
+    The unit starts from empty term tables, so it computes the same
+    outcome whichever units its process ran before.
     """
 
+    smt.clear_term_caches()
     check = _ProgramCheck(unit)
     outcomes = []
     for platform in unit.platforms:
@@ -328,6 +338,7 @@ def run_unit(unit: WorkUnit) -> ProgramOutcome:
         after = _counters_snapshot()
         counters = {key: after[key] - before.get(key, 0) for key in after}
         counters["coverage_errors"] = coverage_errors
+        counters["bisect_link_failures"] = check.bisect_link_failures[platform]
         outcomes.append(
             UnitOutcome(
                 program_index=unit.program_index,
@@ -355,9 +366,11 @@ def run_triage_unit(unit: TriageUnit) -> TriageOutcome:
     deterministic function of the unit — the trigger source is parsed back
     to an AST, the oracle predicate is rebuilt from the original finding,
     and the reducer enumerates edits in program order — so ``jobs=1`` and
-    ``jobs=8`` triage byte-identically.
+    ``jobs=8`` triage byte-identically.  Like :func:`run_unit`, it starts
+    from empty term tables.
     """
 
+    smt.clear_term_caches()
     start = time.perf_counter()
     try:
         program = parse_program(unit.source)

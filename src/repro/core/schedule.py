@@ -246,12 +246,15 @@ class ArmProfile:
     """Per-cell hit rates for one arm, estimated from unseeded programs.
 
     ``cells`` maps a coverage cell to the number of training programs that
-    lit it at least once; ``tries`` is the number of training programs.
+    lit it at least once; ``tries`` is the number of training programs;
+    ``errors`` counts the programs whose compilation raised, so only
+    their program features were counted.
     """
 
     arm: KnobArm
     tries: int
     cells: Mapping[str, int]
+    errors: int = 0
 
     def rate(self, cell: str) -> float:
         if self.tries <= 0:
@@ -279,6 +282,7 @@ def train_profiles(
         )
         program_generator = RandomProgramGenerator(steered)
         cells: Dict[str, int] = {}
+        errors = 0
         for index in range(programs_per_arm):
             program = program_generator.generate_indexed(index)
             coverage = program_features(program)
@@ -286,11 +290,14 @@ def train_profiles(
                 result = compile_front_midend(program, options)
                 coverage.update(result.coverage.to_dict())
             except Exception:  # noqa: BLE001 - profiling must never abort
-                pass
+                errors += 1
             for cell in coverage.cells:
                 cells[cell] = cells.get(cell, 0) + 1
         profiles[arm.name] = ArmProfile(
-            arm=arm, tries=programs_per_arm, cells=dict(sorted(cells.items()))
+            arm=arm,
+            tries=programs_per_arm,
+            cells=dict(sorted(cells.items())),
+            errors=errors,
         )
     return profiles
 

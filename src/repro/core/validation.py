@@ -159,8 +159,8 @@ class TranslationValidator:
                 current_semantics = self.interpret(snapshot)
                 # Gang every output-field check of this pair into one
                 # incremental UNSAT probe (with the per-pair syntactic
-                # fast paths and the campaign-lifetime equivalence memo
-                # in front).  Only a pair that fails the batch is
+                # fast paths and the program-scoped equivalence memo in
+                # front).  Only a pair that fails the batch is
                 # re-walked field by field on fresh solvers, so the
                 # reported first divergence and its witness stay
                 # byte-identical to the pre-batching validator — witness

@@ -60,7 +60,6 @@ from repro.smt.solver import (
     Solver,
     SolverStats,
     all_equivalent,
-    clear_equivalence_cache,
     enumerate_models,
     equivalence_cache_size,
     equivalent,
@@ -111,7 +110,6 @@ __all__ = [
     "find_divergence",
     "all_equivalent",
     "enumerate_models",
-    "clear_equivalence_cache",
     "equivalence_cache_size",
     "clear_term_caches",
     "intern_table_size",

@@ -14,9 +14,10 @@ from repro.smt.terms import Term
 
 #: Process-wide encoding-cache counters, aggregated over every blaster in
 #: the process.  A hit means a term's CNF encoding was reused instead of
-#: re-blasted; on a campaign-lifetime shared solver (see
-#: :func:`repro.smt.solver.all_equivalent`) hits accumulate *across
-#: programs* because hash-consing makes identical subterms the same key.
+#: re-blasted; on a chain-scoped shared solver (see
+#: :func:`repro.smt.solver.all_equivalent`) hits accumulate across one
+#: compilation's snapshot pairs because hash-consing makes identical
+#: subterms the same key.
 BLAST_STATS = {"bitblast_hits": 0, "bitblast_misses": 0}
 
 

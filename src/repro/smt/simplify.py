@@ -4,9 +4,11 @@ The simplifier is a bottom-up single pass over the term DAG with
 *persistent* memoisation: because terms are hash-consed
 (:mod:`repro.smt.terms`), the input -> simplified mapping is a pure
 function of the term object, so results are kept in a module-level cache
-that survives across calls.  Repeated sub-DAGs -- the common case across
-per-pass snapshots of the same program -- simplify exactly once per
-process.  It performs:
+that survives across calls until :func:`~repro.smt.terms.clear_term_caches`
+drops it with the intern table (the campaign engine does so at every
+unit boundary).  Repeated sub-DAGs -- the common case across per-pass
+snapshots of the same program -- simplify exactly once per program.  It
+performs:
 
 * full constant folding for every operator,
 * identity/absorption rules (``x & 0 = 0``, ``x | 0 = x``, ``x ^ x = 0``...),
@@ -48,8 +50,9 @@ def _power_of_two(value: int) -> int | None:
     return None
 
 
-#: Persistent memo cache: interned term -> interned simplified term.  Sound
-#: because terms are immutable and globally unique, and rewriting is pure.
+#: Memo cache: interned term -> interned simplified term.  Sound because
+#: terms are immutable and unique within one intern-table generation, and
+#: rewriting is pure.
 _CACHE: Dict[Term, Term] = {}
 
 #: Guard-propagation memo: (branch, cond, polarity) -> propagated branch.

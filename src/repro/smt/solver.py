@@ -57,10 +57,12 @@ class SolverStats:
     constant_verdicts: int = 0
     #: Batched :func:`all_equivalent` calls that reached the solver.
     batched_checks: int = 0
-    #: Pairs answered by the process-wide equivalence-verdict memo.
+    #: Pairs answered by the equivalence-verdict memo (one program's pairs).
     equivalence_cache_hits: int = 0
     #: Queries cut short by a ``max_conflicts`` budget (verdict UNKNOWN).
     budget_exhausted: int = 0
+    #: CDCL conflicts summed over every ``solve`` (full or cone instance).
+    sat_conflicts: int = 0
 
     def reset(self) -> None:
         self.checks = 0
@@ -70,6 +72,7 @@ class SolverStats:
         self.batched_checks = 0
         self.equivalence_cache_hits = 0
         self.budget_exhausted = 0
+        self.sat_conflicts = 0
         reset_blast_stats()
 
     def snapshot(self) -> Dict[str, int]:
@@ -84,6 +87,7 @@ class SolverStats:
             "batched_checks": self.batched_checks,
             "equivalence_cache_hits": self.equivalence_cache_hits,
             "budget_exhausted": self.budget_exhausted,
+            "sat_conflicts": self.sat_conflicts,
             "bitblast_hits": BLAST_STATS["bitblast_hits"],
             "bitblast_misses": BLAST_STATS["bitblast_misses"],
         }
@@ -276,6 +280,7 @@ class Solver:
             result = self._sat.solve(
                 assumptions=assumptions, max_conflicts=max_conflicts
             )
+            STATS.sat_conflicts += self._sat.last_conflicts
         else:
             # Verdict-only checks solve just the cone of the query: on a
             # long-lived solver (the validator's chain-scoped batches) the
@@ -348,10 +353,12 @@ class Solver:
         sub.add_clauses(
             [[translate(lit) for lit in clauses[i]] for i in indices]
         )
-        return sub.solve(
+        result = sub.solve(
             assumptions=[translate(lit) for lit in assumptions],
             max_conflicts=max_conflicts,
         )
+        STATS.sat_conflicts += sub.last_conflicts
+        return result
 
     def model(self) -> Model:
         """Return the model from the last successful :meth:`check`."""
@@ -381,27 +388,15 @@ EQUIVALENCE_CONFLICT_BUDGET = 512
 #: Memo value for pairs whose query exhausted the conflict budget.
 _HARD = "hard"
 
-#: Process-wide equivalence-verdict memo: ``(left, right) -> True`` for
-#: pairs proven *unconditionally* equivalent (no extra constraints), or
-#: :data:`_HARD` for pairs whose query exhausted the conflict budget (a
-#: pathological pair is paid for at most once per process).  Equivalence
-#: is a semantic fact about the interned term pair, so the memo is safe
-#: campaign-lifetime; divergence verdicts are not stored because their
-#: value is the witness, which must be re-derived on a fresh solver to
-#: stay scheduler-independent.
+#: Equivalence-verdict memo: ``(left, right) -> True`` for pairs proven
+#: *unconditionally* equivalent (no extra constraints), or :data:`_HARD`
+#: for pairs whose query exhausted the conflict budget (a pathological
+#: pair is paid for at most once per program).  It is keyed by interned
+#: terms, so :func:`~repro.smt.terms.clear_term_caches` drops it with the
+#: intern table at every unit boundary.  Divergence verdicts are not
+#: stored because their value is the witness, which must be re-derived on
+#: a fresh solver to stay scheduler-independent.
 _EQUIV_CACHE: Dict[Tuple[Term, Term], object] = {}
-_EQUIV_CACHE_LIMIT = 200_000
-
-def _remember_equivalent(left: Term, right: Term, value: object = True) -> None:
-    if len(_EQUIV_CACHE) >= _EQUIV_CACHE_LIMIT:
-        _EQUIV_CACHE.clear()
-    _EQUIV_CACHE[(left, right)] = value
-
-
-def clear_equivalence_cache() -> None:
-    """Drop the process-wide equivalence-verdict memo."""
-
-    _EQUIV_CACHE.clear()
 
 
 def equivalence_cache_size() -> int:
@@ -416,7 +411,7 @@ def all_equivalent(
     This is the batched common case of translation validation: almost all
     output fields of a clean snapshot pair are equivalent, and this
     entry point proves them together on **one** incremental solver.  Each
-    pair first runs the syntactic fast paths and the campaign-lifetime
+    pair first runs the syntactic fast paths and the program-scoped
     equivalence memo; each survivor is then `decide()`d as its own
     assumption-literal query (``Ne(l, r)``) on the batch solver, and each
     ``UNSAT`` verdict feeds the memo immediately — so pairs proven before
@@ -471,9 +466,9 @@ def all_equivalent(
             # Budget exhausted: not proven, but no divergence found either.
             # Record the pair as hard so no later walk re-pays the search;
             # the oracle's bias is "no false alarms" (see the budget note).
-            _remember_equivalent(left, right, value=_HARD)
+            _EQUIV_CACHE[(left, right)] = _HARD
             continue
-        _remember_equivalent(left, right)
+        _EQUIV_CACHE[(left, right)] = True
     return True
 
 
@@ -504,8 +499,9 @@ def find_divergence(
     if left is right:
         STATS.syntactic_equivalences += 1
         return None
-    # Simplification is memoised process-wide, so this is cheap for terms
-    # the validator has seen before; identical normal forms are equivalent.
+    # Simplification is memoised until the next unit boundary, so this is
+    # cheap for terms the validator has seen in this program; identical
+    # normal forms are equivalent.
     if simplify(left) is simplify(right):
         STATS.syntactic_equivalences += 1
         return None
@@ -537,8 +533,8 @@ def find_divergence(
         # UNSAT proves equivalence; UNKNOWN marks the pair hard so no
         # later walk re-pays the exhausted search (either way, there is no
         # witness to report — the oracle's bias is "no false alarms").
-        _remember_equivalent(
-            left, right, value=True if verdict == CheckResult.UNSAT else _HARD
+        _EQUIV_CACHE[(left, right)] = (
+            True if verdict == CheckResult.UNSAT else _HARD
         )
     return None
 

@@ -503,21 +503,26 @@ def intern_table_size() -> int:
 
 
 def clear_term_caches() -> None:
-    """Drop the hash-cons table (and dependent caches).
+    """Drop the hash-cons table and every memo keyed by terms.
 
-    Long-running services can call this between campaigns to bound memory.
-    Structural ``__eq__``/``__hash__`` remain correct for terms that survive
-    a clear, but the ``is``-identity fast paths only apply among terms
-    constructed under the same table generation, so dependent memo caches
-    (the simplifier cache in :mod:`repro.smt.simplify`) are cleared too.
+    The campaign engine calls this at the start of every work unit, so a
+    worker's term state is bounded by one program and a unit's result
+    never depends on the units its process ran before.  Structural
+    ``__eq__``/``__hash__`` stay correct for terms that survive a clear,
+    but the ``is``-identity fast paths only apply among terms constructed
+    under the same table generation, so the memos keyed by terms (the
+    simplifier's in :mod:`repro.smt.simplify`, the equivalence verdicts
+    in :mod:`repro.smt.solver`) are cleared with it.
     """
 
     # The package re-exports the ``simplify`` *function*, shadowing the
     # module attribute, so import the helper from the module path directly.
     from repro.smt.simplify import clear_simplify_cache
+    from repro.smt.solver import _EQUIV_CACHE
 
     Term._intern_table.clear()
     clear_simplify_cache()
+    _EQUIV_CACHE.clear()
     # Re-intern the module-level singletons so they stay canonical.
     Term._intern_table[("boolconst", _BOOL_SORT, (), True)] = TRUE
     Term._intern_table[("boolconst", _BOOL_SORT, (), False)] = FALSE

@@ -362,3 +362,56 @@ class TestPerPlatformRejection:
         assert stats.programs_rejected == 10
         platforms = {report.platform for report in stats.tracker.reports}
         assert platforms == {"tofino"}
+
+
+class TestBisectionLinkFailures:
+    BUGS = ("tofino_slice_assignment_drop", "tofino_ternary_condition_flip")
+
+    def unit(self):
+        # Program 0 of seed 3 mismatches with both tofino defects enabled,
+        # so its finding is attributed by per-defect bisection.
+        return WorkUnit(
+            program_index=0,
+            platforms=("tofino",),
+            generator=GeneratorConfig(seed=3),
+            enabled_bugs=self.BUGS,
+        )
+
+    @staticmethod
+    def fail_singleton_links(monkeypatch):
+        """Make every bisection link (one defect enabled) fail to compile."""
+
+        from repro.compiler.errors import CompilerError
+        from repro.targets.tofino import TofinoTarget
+
+        link = TofinoTarget.link
+
+        def failing_singleton_link(self, result):
+            if len(self.options.enabled_bugs) == 1:
+                raise CompilerError("forced bisection link failure")
+            return link(self, result)
+
+        monkeypatch.setattr(TofinoTarget, "link", failing_singleton_link)
+
+    def test_clean_bisection_counts_no_link_failures(self):
+        (outcome,) = run_unit(self.unit()).outcomes
+        (finding,) = outcome.findings
+        assert finding.attributed_bugs == ("tofino_slice_assignment_drop",)
+        assert outcome.counters["bisect_link_failures"] == 0
+
+    def test_each_failed_singleton_link_is_counted(self, monkeypatch):
+        self.fail_singleton_links(monkeypatch)
+        (outcome,) = run_unit(self.unit()).outcomes
+        (finding,) = outcome.findings
+        assert finding.attributed_bugs == ()
+        assert outcome.counters["bisect_link_failures"] == len(self.BUGS)
+
+    def test_link_failures_merge_into_campaign_counters(self, monkeypatch):
+        self.fail_singleton_links(monkeypatch)
+        stats = Campaign(
+            CampaignConfig(
+                programs=3, seed=3, enabled_bugs=self.BUGS, platforms=("tofino",)
+            )
+        ).run()
+        # Programs 0-2 of seed 3 each mismatch, so each bisects both defects.
+        assert stats.counters["bisect_link_failures"] == 3 * len(self.BUGS)

@@ -89,7 +89,7 @@ class TestEachProgramIsCheckedOnce:
 class TestSequentialFallbackIsPureSlowdown:
     def _reports(self, source, bugs, monkeypatch):
         def run(batched):
-            smt.clear_equivalence_cache()
+            smt.clear_term_caches()
             result = compile_front_midend(
                 source, CompilerOptions(enabled_bugs=set(bugs))
             )

@@ -209,8 +209,37 @@ class TestTrainProfiles:
         )
         entry = profiles[ARM_CATALOG[0].name]
         assert entry.tries == 4
+        assert entry.errors == 0
         # presence counts, not hit totals: no cell exceeds the program count
         assert entry.cells
         assert all(0 < count <= 4 for count in entry.cells.values())
         assert 0.0 <= entry.rate(next(iter(entry.cells))) <= 1.0
         assert entry.rate("feature:never_seen") == 0.0
+
+    def test_failed_compilations_are_counted(self, monkeypatch):
+        from repro.core import schedule
+
+        def crash(program, options):
+            raise RuntimeError("forced profiling failure")
+
+        monkeypatch.setattr(schedule, "compile_front_midend", crash)
+        profiles = train_profiles(
+            GeneratorConfig(seed=11), programs_per_arm=3, arms=ARM_CATALOG[:2]
+        )
+        for profile in profiles.values():
+            assert profile.errors == 3
+            # Only the program-feature cells survive a failed compilation.
+            assert all(cell.startswith("feature:") for cell in profile.cells)
+
+    def test_profile_errors_reach_the_detection_matrix(self, monkeypatch):
+        from repro.core import schedule
+        from repro.core.campaign import Campaign, CampaignConfig
+
+        def crash(program, options):
+            raise RuntimeError("forced profiling failure")
+
+        monkeypatch.setattr(schedule, "compile_front_midend", crash)
+        (record,) = Campaign(CampaignConfig(seed=0)).run_detection_matrix(
+            bug_ids=["constant_folding_no_mask"], programs_per_bug=1, schedule=True
+        )
+        assert record.profile_errors == 12  # every calibration program of its arm

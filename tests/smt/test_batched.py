@@ -10,7 +10,7 @@ solver-history-dependent, verdicts are not.
 import pytest
 
 from repro import smt
-from repro.smt import all_equivalent, clear_equivalence_cache, find_divergence
+from repro.smt import all_equivalent, clear_term_caches, find_divergence
 from repro.smt.solver import STATS
 
 
@@ -22,7 +22,7 @@ TWO = smt.BitVecVal(2, 8)
 
 def fresh_state():
     STATS.reset()
-    clear_equivalence_cache()
+    clear_term_caches()
 
 
 EQUIVALENT_PAIRS = [
