@@ -139,9 +139,9 @@ HOTPATH_TARGET_SPEEDUP = 3.0
 #: Deterministic work ratchets on the same workload: SAT calls, bit-blast
 #: encoding misses and CDCL conflicts may not grow past what the current
 #: engine does.
-HOTPATH_MAX_SAT_INVOCATIONS = 937
-HOTPATH_MAX_BITBLAST_MISSES = 11551
-HOTPATH_MAX_SAT_CONFLICTS = 5276
+HOTPATH_MAX_SAT_INVOCATIONS = 575
+HOTPATH_MAX_BITBLAST_MISSES = 11092
+HOTPATH_MAX_SAT_CONFLICTS = 5274
 #: Size of the seeded campaign used for the jobs=1 vs jobs=4 byte-identical
 #: report check (shared-prefix validation must not perturb determinism).
 HOTPATH_DETERMINISM_PROGRAMS = 25

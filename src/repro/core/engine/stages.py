@@ -31,6 +31,7 @@ from repro.core.generator import RandomProgramGenerator
 from repro.core.testgen import (
     TestSequence,
     build_test_sequences,
+    probe_stats,
     program_has_state,
 )
 from repro.core.validation import (
@@ -311,6 +312,7 @@ class _ProgramCheck:
 def _counters_snapshot() -> Dict[str, int]:
     counters = {f"solver_{key}": value for key, value in smt.STATS.snapshot().items()}
     counters.update(replay_stats())
+    counters.update(probe_stats())
     return counters
 
 
@@ -397,13 +399,19 @@ def run_triage_unit(unit: TriageUnit) -> TriageOutcome:
             status=TRIAGE_UNREPRODUCED,
             localized_pass=unit.finding.pass_name,
             elapsed_s=time.perf_counter() - start,
+            errors=1,
         )
+    errors = 0
     try:
         localized, pair = localize_finding(
             unit.finding, result.program, unit.platform, unit.enabled_bugs
         )
     except Exception:  # noqa: BLE001 - a failed bisect must not drop the reduction
         localized, pair = unit.finding.pass_name, None
+        errors += 1
+    min_sequence_length, minimize_errors = _minimize_sequence_length(
+        unit, result.program
+    )
     return TriageOutcome(
         identifier=unit.identifier,
         status=TRIAGE_REDUCED,
@@ -416,32 +424,35 @@ def run_triage_unit(unit: TriageUnit) -> TriageOutcome:
         pass_pair=pair,
         elapsed_s=time.perf_counter() - start,
         transform_stats=result.transform_stats,
-        min_sequence_length=_minimize_sequence_length(unit, result.program),
+        min_sequence_length=min_sequence_length,
+        errors=errors + minimize_errors,
     )
 
 
-def _minimize_sequence_length(unit: TriageUnit, reduced: ast.Program) -> int:
+def _minimize_sequence_length(unit: TriageUnit, reduced: ast.Program) -> Tuple[int, int]:
     """Shrink the replay vector: fewest packets that still show the bug.
 
+    Returns the length and the number of swallowed probe failures.
     Backend packet findings on stateful programs only — every other oracle
-    is single-packet by construction (returns ``0``, "not applicable").
+    is single-packet by construction (length ``0``, "not applicable").
     The probe rebuilds the packet predicate at each shorter length and
     replays the *reduced* trigger; lengths are tried smallest-first so the
-    first success is the minimum.  A probe failure keeps the campaign
-    length — minimization is best-effort polish, never a correctness gate.
+    first success is the minimum.  A probe failure is counted and keeps the
+    campaign length — minimization is best-effort polish, never a
+    correctness gate.
     """
 
     if unit.platform == "p4c" or unit.finding.kind != FINDING_SEMANTIC:
-        return 0
+        return 0, 0
     if unit.sequence_length <= 1 or not program_has_state(reduced):
-        return 0
+        return 0, 0
     for length in range(1, unit.sequence_length):
         try:
             shorter = build_predicate(
                 unit.finding, unit.platform, unit.enabled_bugs, unit.max_tests, length
             )
             if shorter(reduced):
-                return length
+                return length, 0
         except Exception:  # noqa: BLE001 - best-effort minimization
-            break
-    return unit.sequence_length
+            return unit.sequence_length, 1
+    return unit.sequence_length, 0

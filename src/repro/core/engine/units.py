@@ -350,6 +350,11 @@ class TriageOutcome:
     #: store round-trip so a resumed campaign reports the same minimal
     #: replay vector the original triage computed.
     min_sequence_length: int = 0
+    #: Exceptions the triage swallowed rather than failing the unit: a
+    #: reduction that raised (the unit then reads as unreproduced), a
+    #: failed localization (the finding's own pass is kept) and failed
+    #: sequence-length probes (the campaign length is kept).
+    errors: int = 0
 
     @property
     def reduction_ratio(self) -> float:
@@ -373,6 +378,7 @@ class TriageOutcome:
                 name: dict(entry) for name, entry in self.transform_stats.items()
             },
             "min_sequence_length": self.min_sequence_length,
+            "errors": self.errors,
         }
 
     @classmethod
@@ -394,6 +400,7 @@ class TriageOutcome:
                 for name, entry in payload.get("transform_stats", {}).items()
             },
             min_sequence_length=payload.get("min_sequence_length", 0),
+            errors=payload.get("errors", 0),
         )
 
 

@@ -9,6 +9,11 @@ execution), and feeds them to the target's packet test framework.
 Path selection follows the paper: one test per reachable combination of
 branch decisions (capped), with the solver asked for non-zero header values
 so that targets which zero-initialise undefined data cannot mask bugs.
+Each combination is a *path probe*.  A probe that a model found for an
+earlier probe already satisfies (constraint and preferences alike) is
+*witnessed*: that model's test covers it, so it costs no SAT call and adds
+no duplicate test.  Every other probe costs one SAT call, plus a retry
+without the preferences only when the call's UNSAT core blames them.
 Undefined values in the oracle are fixed to the target's convention (zero)
 when computing the expected output.
 
@@ -39,6 +44,17 @@ from repro.targets.state import PacketState, SwitchState, TableEntry, build_pack
 #: the write) while keeping the solver's per-program work bounded; stateless
 #: programs are always collapsed to length 1 (:func:`build_test_sequences`).
 DEFAULT_SEQUENCE_LENGTH = 3
+
+#: Monotone probe tallies (merged across workers like the replay counters):
+#: path probes answered by an earlier model without a SAT call, and probes
+#: found infeasible.  Every other probe made exactly one new test.
+_PROBE_STATS = {"testgen_probes_witnessed": 0, "testgen_probes_infeasible": 0}
+
+
+def probe_stats() -> Dict[str, int]:
+    """Snapshot of the process-wide path-probe counters."""
+
+    return dict(_PROBE_STATS)
 
 
 @dataclass
@@ -125,56 +141,89 @@ class SymbolicTestGenerator:
     def generate(self) -> List[GeneratedTest]:
         """Produce up to ``max_tests`` tests covering distinct program paths.
 
-        All path probes share one incremental solver: the environment
-        constraints (parser unroll guards, valid input headers) are asserted
-        once, and each path constraint — plus the non-zero preferences — is
-        passed as an assumption, so the CNF and the learned clauses of
-        earlier probes carry over instead of being rebuilt per path.  The
-        probe sequence is fixed, so the generated tests are a deterministic
-        function of the program alone.
+        One test per new model of the probe loop (:meth:`_probe_models`),
+        built from the first packet's semantics.
         """
 
-        solver = self._base_solver()
-        preferences = self._preferences()
-        tests: List[GeneratedTest] = []
-        for index, constraint in enumerate(self._path_constraints()):
-            if len(tests) >= self.max_tests:
-                break
-            model = self._solve(solver, constraint, preferences)
-            if model is None:
-                continue
-            tests.append(self._build_test(f"path_{index}", model))
-        if not tests:
-            # Fall back to a single unconstrained test.
-            model = self._solve(solver, smt.BoolVal(True), preferences)
-            if model is not None:
-                tests.append(self._build_test("default", model))
-        return tests
+        return [self._build_test(name, model) for name, model in self._probe_models()]
 
     def generate_sequences(self) -> List[TestSequence]:
         """Produce up to ``max_tests`` multi-packet sequences.
 
-        Same probe machinery as :meth:`generate`, but each model yields one
+        Same probe loop as :meth:`generate`, but each model yields one
         :class:`TestSequence` of ``sequence_length`` packets plus the
         expected final state, all evaluated under the one model that covers
         the whole threaded sequence.
         """
 
+        return [
+            self._build_sequence(name, model) for name, model in self._probe_models()
+        ]
+
+    # -- the probe loop ------------------------------------------------------------
+
+    def _probe_models(self) -> List[Tuple[str, Model]]:
+        """One model per newly covered path probe, in probe order.
+
+        All probes share one incremental solver: the environment
+        constraints (parser unroll guards, valid input headers) are asserted
+        once, and each path constraint -- plus the non-zero preferences --
+        is passed as an assumption, so the CNF and the learned clauses of
+        earlier probes carry over instead of being rebuilt per path.
+
+        A probe costs no SAT call when it is *witnessed*: a model found
+        earlier already satisfies its constraint and every preference (see
+        :meth:`_witness`).  The probe is then covered by that model's test:
+        it counts toward ``max_tests`` but adds no test, and the solver's
+        saved phases go back to the witness, so later probes search as if
+        it had just been found.  Any other probe costs one SAT call, and a
+        second one without the preferences only when the first call's UNSAT
+        core contains a preference (:meth:`Solver.check_preferring`).  The
+        probe sequence is fixed, so the models are a deterministic function
+        of the program alone.
+        """
+
         solver = self._base_solver()
         preferences = self._preferences()
-        sequences: List[TestSequence] = []
+        found: List[Tuple[str, Model]] = []
+        # Models that satisfy every preference: the candidate witnesses.
+        witnesses: List[Model] = []
+        covered = 0
         for index, constraint in enumerate(self._path_constraints()):
-            if len(sequences) >= self.max_tests:
+            if covered >= self.max_tests:
                 break
-            model = self._solve(solver, constraint, preferences)
-            if model is None:
+            witness = self._witness(constraint, witnesses)
+            if witness is not None:
+                _PROBE_STATS["testgen_probes_witnessed"] += 1
+                solver.restore_phases(witness)
+                covered += 1
                 continue
-            sequences.append(self._build_sequence(f"path_{index}", model))
-        if not sequences:
-            model = self._solve(solver, smt.BoolVal(True), preferences)
-            if model is not None:
-                sequences.append(self._build_sequence("default", model))
-        return sequences
+            if solver.check_preferring((constraint,), preferences) != CheckResult.SAT:
+                _PROBE_STATS["testgen_probes_infeasible"] += 1
+                continue
+            model = solver.model()
+            found.append((f"path_{index}", model))
+            if all(smt.evaluate(p, model.values, default=0) for p in preferences):
+                witnesses.append(model)
+            covered += 1
+        return found
+
+    @staticmethod
+    def _witness(constraint: smt.Term, witnesses: List[Model]) -> Optional[Model]:
+        """The first of ``witnesses`` under which ``constraint`` holds.
+
+        Symbols a model lacks read as 0.  Every model assigns every symbol
+        of the environment constraints (they are asserted before the first
+        probe), so a symbol it lacks is one the environment leaves free,
+        and setting it to 0 extends the model to one that also satisfies
+        ``constraint`` -- with the very test :meth:`_build_test` builds,
+        which reads absent symbols as 0 too.
+        """
+
+        for model in witnesses:
+            if smt.evaluate(constraint, model.values, default=0):
+                return model
+        return None
 
     # -- path selection ------------------------------------------------------------
 
@@ -230,17 +279,6 @@ class SymbolicTestGenerator:
             for path, symbol in packet.inputs.items()
             if symbol.sort.is_bv()
         ]
-
-    def _solve(
-        self, solver: Solver, constraint: smt.Term, preferences: List[smt.Term]
-    ) -> Optional[Model]:
-        # The path constraint rides along as an assumption so the shared
-        # solver never accumulates path-specific assertions.
-        if preferences and solver.check(constraint, *preferences) == CheckResult.SAT:
-            return solver.model()
-        if solver.check(constraint) == CheckResult.SAT:
-            return solver.model()
-        return None
 
     # -- test construction ----------------------------------------------------------
 

@@ -17,13 +17,18 @@ database, watch lists, variable activities and saved phases all carry over.
 This is what makes blocking-clause model enumeration and repeated
 equivalence queries cheap (see :mod:`repro.smt.solver`).
 
+An UNSAT answer under assumptions comes with a *failed-assumption core*
+(MiniSat's ``analyzeFinal``): the assumptions the refutation actually used,
+so a caller can tell "these assumptions clash with the clauses" from "the
+clauses alone are UNSAT" without a second call.
+
 It is deliberately free of dependencies so it can serve as the decision
 procedure underneath the bit-blaster in :mod:`repro.smt.bitblast`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,11 +41,16 @@ class SatResult:
     ``max_conflicts`` budget cut short: an incomplete result with
     ``satisfiable=False`` means *unknown*, not UNSAT, and must not be
     treated as a proof of unsatisfiability.
+
+    ``core`` is set on a complete UNSAT answer: the assumption literals the
+    refutation used (the clauses plus ``core`` alone are UNSAT).  It is
+    empty when the clauses are UNSAT without any assumption.
     """
 
     satisfiable: bool
     assignment: Dict[int, bool]
     complete: bool = True
+    core: List[int] = field(default_factory=list)
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.satisfiable
@@ -115,6 +125,18 @@ class SatSolver:
             self._add_clause(list(clause), learned=False)
 
     # -- incremental interface ---------------------------------------------
+
+    def set_phases(self, assignment: Dict[int, bool]) -> None:
+        """Make ``assignment`` the saved phases, e.g. an earlier model's.
+
+        The next search then starts from that model, as if it had just been
+        found.  The solver first backtracks to level 0: unassigning the
+        trail saves its own phases, which must not override these.
+        """
+
+        self._backtrack(0)
+        for var, value in assignment.items():
+            self.phase[var] = value
 
     def ensure_num_vars(self, num_vars: int) -> None:
         """Grow the variable space to ``num_vars`` (no-op when smaller)."""
@@ -331,6 +353,36 @@ class SatSolver:
                 heappush(self._order, (-self.activity[var], var))
         self.propagate_head = min(self.propagate_head, len(self.trail))
 
+    def _analyze_final(self, failed: int) -> List[int]:
+        """The assumptions that imply ``-failed`` (plus ``failed`` itself).
+
+        Walks the implication graph of ``-failed`` back along the trail:
+        a reached variable with a reason clause is expanded into that
+        clause's other variables, a reached decision is an assumption
+        (only assumptions are decided before every assumption holds).
+        Level-0 assignments are consequences of the clauses alone and are
+        not followed.
+        """
+
+        core = [failed]
+        if self.level[abs(failed)] == 0:
+            return core
+        seen = {abs(failed)}
+        for index in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
+            literal = self.trail[index]
+            var = abs(literal)
+            if var not in seen:
+                continue
+            reason = self.reason[var]
+            if reason is None:
+                core.append(literal)
+                continue
+            for other in reason.literals:
+                other_var = abs(other)
+                if other_var != var and self.level[other_var] > 0:
+                    seen.add(other_var)
+        return core
+
     # -- branching -----------------------------------------------------------------
 
     def _decide(self) -> Optional[int]:
@@ -378,7 +430,8 @@ class SatSolver:
         and phases persist, so repeated calls (with clauses added in
         between) pick up where the previous search left off.  Assumptions
         hold only for this call -- each assumption owns one decision level,
-        so a backjump below an assumption level simply re-applies it.
+        so a backjump below an assumption level simply re-applies it.  An
+        UNSAT result carries its failed-assumption core (:class:`SatResult`).
         """
 
         self.solve_count += 1
@@ -445,7 +498,7 @@ class SatSolver:
                     continue
                 if value is False:
                     # UNSAT under these assumptions (not permanently).
-                    return SatResult(False, {})
+                    return SatResult(False, {}, core=self._analyze_final(literal))
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(literal, None)
                 continue

@@ -13,8 +13,11 @@ when first checked; ``check(*extra)`` encodes the extra constraints as
 assumption literals instead of rebuilding the CNF, so the SAT solver's
 learned-clause database, watch lists, activities and saved phases are
 reused across every check on the same solver.  This is what makes
-blocking-clause model enumeration (:func:`enumerate_models`) and the
-preference retry in :func:`find_divergence` cheap.
+blocking-clause model enumeration (:func:`enumerate_models`) and
+best-effort preferences (:meth:`Solver.check_preferring`) cheap.  An
+UNSAT check names the extras its refutation used
+(:meth:`Solver.unsat_core`), so a preference retry runs only when a
+preference is to blame.
 
 The module also provides the two operations Gauntlet actually needs:
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.smt import terms as t
 from repro.smt.bitblast import BLAST_STATS, BitBlaster, reset_blast_stats
@@ -115,6 +118,9 @@ class Model:
     """A satisfying assignment: symbol name -> concrete value."""
 
     values: Dict[str, Value] = field(default_factory=dict)
+    #: The SAT-level assignment the values were read from, in the numbering
+    #: of the solver that found them (see :meth:`Solver.restore_phases`).
+    assignment: Dict[int, bool] = field(default_factory=dict, compare=False, repr=False)
 
     def __getitem__(self, name: str) -> Value:
         return self.values.get(name, 0)
@@ -149,6 +155,8 @@ class Solver:
         self._clauses_fed = 0
         #: Set when an added constraint simplifies to FALSE.
         self._trivially_unsat = False
+        #: The ``extra`` terms the last UNSAT verdict's refutation used.
+        self._core: Optional[List[Term]] = None
 
     # -- constraint management ------------------------------------------------
 
@@ -171,6 +179,7 @@ class Solver:
         self._processed = 0
         self._clauses_fed = 0
         self._trivially_unsat = False
+        self._core = None
 
     @property
     def constraints(self) -> List[Term]:
@@ -244,11 +253,13 @@ class Solver:
     ) -> CheckResult:
         STATS.checks += 1
         self._assert_pending()
+        self._model = None
+        self._core = None
         if self._trivially_unsat:
-            self._model = None
+            self._core = []
             return CheckResult.UNSAT
 
-        assumptions: List[int] = []
+        kept: List[Term] = []
         extra_reduced: List[Term] = []
         for term in extra:
             if not term.sort.is_bool():
@@ -257,9 +268,10 @@ class Solver:
             if reduced is t.TRUE:
                 continue
             if reduced is t.FALSE:
-                self._model = None
                 STATS.constant_verdicts += 1
+                self._core = [term]
                 return CheckResult.UNSAT
+            kept.append(term)
             extra_reduced.append(reduced)
 
         if self._sat is None and not extra_reduced:
@@ -271,8 +283,7 @@ class Solver:
         self._ensure_engine()
         # Tseitin definitions are biconditional, so defining an assumption
         # literal adds no top-level assertion -- it only names the formula.
-        for reduced in extra_reduced:
-            assumptions.append(self._blaster.bool_literal(reduced))
+        assumptions = [self._blaster.bool_literal(reduced) for reduced in extra_reduced]
 
         STATS.sat_invocations += 1
         if build_model:
@@ -293,13 +304,15 @@ class Solver:
             # which is why this path never builds one.
             result = self._cone_solve(assumptions, max_conflicts)
         if not result.satisfiable:
-            self._model = None
             if not result.complete:
                 STATS.budget_exhausted += 1
                 return CheckResult.UNKNOWN
+            failed = set(result.core)
+            self._core = [
+                term for term, literal in zip(kept, assumptions) if literal in failed
+            ]
             return CheckResult.UNSAT
         if not build_model:
-            self._model = None
             return CheckResult.SAT
 
         values: Dict[str, Value] = {}
@@ -312,7 +325,7 @@ class Solver:
         for name, literal in self._blaster.bool_symbol_vars().items():
             values[name] = result.assignment.get(abs(literal), False) == (literal > 0)
 
-        model = Model(values)
+        model = Model(values, result.assignment)
         # Sanity check the model against the *original* (unsimplified)
         # constraints: this guards against bit-blasting bugs and against
         # unsound rewrites in the persistent simplifier cache alike.
@@ -358,6 +371,11 @@ class Solver:
             max_conflicts=max_conflicts,
         )
         STATS.sat_conflicts += sub.last_conflicts
+        # Map the failed-assumption core back to the full numbering.
+        result.core = [
+            order[abs(lit) - 1] if lit > 0 else -order[abs(lit) - 1]
+            for lit in result.core
+        ]
         return result
 
     def model(self) -> Model:
@@ -366,6 +384,52 @@ class Solver:
         if self._model is None:
             raise RuntimeError("no model available: last check was unsat or not run")
         return self._model
+
+    def unsat_core(self) -> List[Term]:
+        """The ``extra`` terms the last UNSAT check's refutation used.
+
+        The asserted constraints plus these terms alone are UNSAT; an empty
+        core means the asserted constraints are UNSAT by themselves.
+        """
+
+        if self._core is None:
+            raise RuntimeError("no core available: last check was not unsat")
+        return list(self._core)
+
+    def check_preferring(
+        self,
+        extra: Sequence[Term],
+        preferences: Sequence[Term],
+        max_conflicts: Optional[int] = None,
+    ) -> CheckResult:
+        """Check ``extra`` with best-effort ``preferences``.
+
+        The preferences ride along as extra assumptions.  If that check
+        fails, the retry without them runs only when they may be to blame:
+        the search ran out of budget, or a preference is in the UNSAT core.
+        A core made of ``extra`` alone already proves the retry UNSAT.
+        """
+
+        if preferences:
+            verdict = self.check(*extra, *preferences, max_conflicts=max_conflicts)
+            if verdict == CheckResult.SAT:
+                return verdict
+            if verdict == CheckResult.UNSAT and not (
+                set(self.unsat_core()) & set(preferences)
+            ):
+                return verdict
+        return self.check(*extra, max_conflicts=max_conflicts)
+
+    def restore_phases(self, model: Model) -> None:
+        """Search next from ``model``, a model this solver found earlier.
+
+        Resets the SAT solver's saved phases to the assignment ``model`` was
+        read from, which leaves the search where it stood just after
+        finding it.
+        """
+
+        if self._sat is not None:
+            self._sat.set_phases(model.assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +584,9 @@ def find_divergence(
         for symbol in prefer_nonzero
         if symbol.sort.is_bv()
     ]
-    if nonzero_terms:
-        if (
-            solver.check(*nonzero_terms, max_conflicts=EQUIVALENCE_CONFLICT_BUDGET)
-            == CheckResult.SAT
-        ):
-            return solver.model()
-    verdict = solver.check(max_conflicts=EQUIVALENCE_CONFLICT_BUDGET)
+    verdict = solver.check_preferring(
+        (), nonzero_terms, max_conflicts=EQUIVALENCE_CONFLICT_BUDGET
+    )
     if verdict == CheckResult.SAT:
         return solver.model()
     if not extras:

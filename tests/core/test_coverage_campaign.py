@@ -60,6 +60,9 @@ class TestScheduledDeterminism:
         assert report_blob(serial) == report_blob(pooled) == report_blob(fleet)
         assert serial.coverage() == pooled.coverage() == fleet.coverage()
         assert serial.coverage(), "scheduled campaign produced no coverage"
+        for key in ("testgen_probes_witnessed", "testgen_probes_infeasible"):
+            assert serial.counters[key] == pooled.counters[key] == fleet.counters[key]
+        assert serial.counters["testgen_probes_witnessed"] > 0
         assert serial.tracker.reports, "seeded campaign filed no reports"
 
     def test_reports_carry_arm_provenance(self):

@@ -431,6 +431,32 @@ class TestSequenceWireFormats:
         del legacy["min_sequence_length"]
         assert TriageOutcome.from_dict(legacy).min_sequence_length == 0
 
+    def test_failed_sequence_length_probe_is_counted(self, monkeypatch):
+        from repro.core.engine import stages
+
+        unit = TriageUnit(
+            identifier=f"ebpf:{EBPF_DEFECT}",
+            platform="ebpf",
+            source=STATEFUL_SOURCE,
+            finding=FindingRecord(
+                kind="semantic",
+                platform="ebpf",
+                pass_name="backend",
+                description="packet test failed",
+                attributed_bugs=(EBPF_DEFECT,),
+            ),
+            enabled_bugs=(EBPF_DEFECT,),
+            sequence_length=3,
+        )
+        program = parse_program(STATEFUL_SOURCE)
+        assert stages._minimize_sequence_length(unit, program)[1] == 0
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("predicate failed")
+
+        monkeypatch.setattr(stages, "build_predicate", broken)
+        assert stages._minimize_sequence_length(unit, program) == (3, 1)
+
     def test_bug_report_schema_round_trip_and_compat(self):
         from repro.core.bugs import BUG_REPORT_SCHEMA, BugReport
 

@@ -186,10 +186,16 @@ class TestRoundTrips:
             localized_pass="ConstantFolding",
             pass_pair=("input", "ConstantFolding"),
             elapsed_s=0.4,
+            errors=2,
         )
         assert TriageOutcome.from_dict(
             json.loads(json.dumps(outcome.to_dict()))
         ) == outcome
+
+    def test_triage_outcome_without_errors_field_loads(self):
+        payload = TriageOutcome(identifier="p4c:x", status=TRIAGE_REDUCED).to_dict()
+        del payload["errors"]  # wire format written before this field
+        assert TriageOutcome.from_dict(payload).errors == 0
 
     def test_bug_report_round_trip_with_triage_fields(self):
         report = BugReport(
@@ -446,3 +452,48 @@ class TestStandaloneTriageUnit:
         outcome = run_triage_unit(unit)
         assert outcome.status == "unreproduced"
         assert outcome.reduced_source == ""
+
+
+class TestTriageCountsSwallowedErrors:
+    """Every exception the triage stage swallows is counted on its outcome."""
+
+    def crash_unit(self):
+        return TriageUnit(
+            identifier="p4c:strength_reduction_negative_slice",
+            platform="p4c",
+            source=CRASHING_PROGRAM,
+            finding=FindingRecord(
+                kind="crash",
+                platform="p4c",
+                pass_name="StrengthReduction",
+                description="negative slice",
+                signature="negative-slice-index",
+            ),
+            enabled_bugs=("strength_reduction_negative_slice",),
+        )
+
+    def test_clean_triage_counts_nothing(self):
+        assert run_triage_unit(self.crash_unit()).errors == 0
+
+    def test_failed_localization_is_counted(self, monkeypatch):
+        from repro.core.engine import stages
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("localization failed")
+
+        monkeypatch.setattr(stages, "localize_finding", broken)
+        outcome = run_triage_unit(self.crash_unit())
+        assert outcome.status == TRIAGE_REDUCED
+        assert outcome.localized_pass == "StrengthReduction"
+        assert outcome.errors == 1
+
+    def test_failed_reduction_is_counted(self, monkeypatch):
+        from repro.core.engine import stages
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("reduction failed")
+
+        monkeypatch.setattr(stages, "reduce_program", broken)
+        outcome = run_triage_unit(self.crash_unit())
+        assert outcome.status == "unreproduced"
+        assert outcome.errors == 1

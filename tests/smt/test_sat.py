@@ -17,6 +17,16 @@ def check_model(clauses, assignment):
     return True
 
 
+def satisfiable(num_vars, clauses):
+    """Brute force: does any assignment of ``num_vars`` variables satisfy ``clauses``?"""
+
+    for mask in range(1 << num_vars):
+        assignment = {v: bool((mask >> (v - 1)) & 1) for v in range(1, num_vars + 1)}
+        if check_model(clauses, assignment):
+            return True
+    return False
+
+
 class TestBasicCases:
     def test_empty_formula_is_sat(self):
         assert solve_cnf(0, []).satisfiable
@@ -98,19 +108,11 @@ class TestRandom3Sat:
             variables = rng.sample(range(1, num_vars + 1), 3)
             clauses.append([v if rng.random() < 0.5 else -v for v in variables])
 
-        expected = self._bruteforce(num_vars, clauses)
+        expected = satisfiable(num_vars, clauses)
         result = solve_cnf(num_vars, clauses)
         assert result.satisfiable == expected
         if result.satisfiable:
             assert check_model(clauses, result.assignment)
-
-    @staticmethod
-    def _bruteforce(num_vars, clauses):
-        for mask in range(1 << num_vars):
-            assignment = {v: bool((mask >> (v - 1)) & 1) for v in range(1, num_vars + 1)}
-            if check_model(clauses, assignment):
-                return True
-        return False
 
 
 class TestSolverReuse:
@@ -119,3 +121,61 @@ class TestSolverReuse:
         result = solver.solve()
         assert result.satisfiable
         assert result.assignment[2] is True
+
+
+def _random_literals(rng, num_vars, count):
+    return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), count)]
+
+
+class TestFailedAssumptionCore:
+    """On UNSAT under assumptions, ``core`` names the assumptions used."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_core_is_an_unsat_subset_of_the_assumptions(self, seed):
+        rng = random.Random(seed)
+        num_vars = rng.randint(3, 10)
+        clauses = [
+            _random_literals(rng, num_vars, rng.randint(2, 3))
+            for _ in range(rng.randint(num_vars, 3 * num_vars))
+        ]
+        # One incremental solver answers every query, so learned clauses
+        # and level-0 facts of earlier queries shape the later cores.
+        solver = SatSolver(num_vars, clauses)
+        for _ in range(12):
+            assumptions = _random_literals(rng, num_vars, rng.randint(0, num_vars))
+            result = solver.solve(assumptions)
+            units = [[literal] for literal in assumptions]
+            assert result.satisfiable == satisfiable(num_vars, clauses + units)
+            if result.satisfiable:
+                assert check_model(clauses + units, result.assignment)
+                assert result.core == []
+                continue
+            assert set(result.core) <= set(assumptions)
+            core_units = [[literal] for literal in result.core]
+            assert not satisfiable(num_vars, clauses + core_units)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_refuted_clauses_give_an_empty_core(self, seed):
+        rng = random.Random(seed)
+        num_vars = rng.randint(3, 10)
+        clauses = []
+        while satisfiable(num_vars, clauses):
+            clauses.append(_random_literals(rng, num_vars, rng.randint(1, 3)))
+        solver = SatSolver(num_vars, clauses)
+        assert solver.solve([]).core == []
+        for _ in range(5):
+            assumptions = _random_literals(rng, num_vars, rng.randint(1, num_vars))
+            result = solver.solve(assumptions)
+            assert not result.satisfiable
+            assert result.core == []
+
+    def test_level_zero_conflict_gives_an_empty_core(self):
+        result = SatSolver(3, [[1], [-1, 2], [-2]]).solve([3])
+        assert not result.satisfiable
+        assert result.core == []
+
+    def test_core_names_only_the_clashing_assumption(self):
+        # x1 -> x2 and x2 -> not x3: assuming x1 and x3 clashes; x4 is idle.
+        result = SatSolver(4, [[-1, 2], [-2, -3]]).solve([4, 1, 3])
+        assert not result.satisfiable
+        assert sorted(result.core) == [1, 3]

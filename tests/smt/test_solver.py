@@ -135,6 +135,76 @@ class TestEquivalence:
         assert witness["y"] != 0
 
 
+class TestUnsatCoreAndPreferences:
+    def test_core_names_the_clashing_extra(self):
+        solver = Solver()
+        solver.add(smt.Ult(X, smt.BitVecVal(10, 8)))
+        clash = smt.Eq(X, smt.BitVecVal(200, 8))
+        idle = smt.Eq(Y, smt.BitVecVal(3, 8))
+        assert solver.check(idle, clash) == CheckResult.UNSAT
+        assert solver.unsat_core() == [clash]
+
+    def test_core_is_empty_when_the_assertions_are_unsat(self):
+        solver = Solver()
+        solver.add(smt.Ult(X, smt.BitVecVal(10, 8)), smt.Ugt(X, smt.BitVecVal(20, 8)))
+        assert solver.check(smt.Eq(Y, smt.BitVecVal(3, 8))) == CheckResult.UNSAT
+        assert solver.unsat_core() == []
+
+    def test_core_of_a_constant_false_extra(self):
+        solver = Solver()
+        solver.add(smt.Ult(X, smt.BitVecVal(10, 8)))
+        false = smt.Ne(X, X)
+        assert solver.check(false) == CheckResult.UNSAT
+        assert solver.unsat_core() == [false]
+
+    def test_core_of_a_verdict_only_check(self):
+        solver = Solver()
+        solver.add(smt.Ult(X, smt.BitVecVal(10, 8)))
+        clash = smt.Eq(X, smt.BitVecVal(200, 8))
+        assert solver.decide(smt.Eq(Y, smt.BitVecVal(3, 8)), clash) == CheckResult.UNSAT
+        assert solver.unsat_core() == [clash]
+
+    def test_no_core_after_sat(self):
+        solver = Solver()
+        solver.add(smt.Ult(X, smt.BitVecVal(10, 8)))
+        assert solver.check() == CheckResult.SAT
+        try:
+            solver.unsat_core()
+        except RuntimeError:
+            pass
+        else:  # pragma: no cover
+            raise AssertionError("expected RuntimeError")
+
+    def test_blamed_preference_is_dropped_on_retry(self):
+        solver = Solver()
+        solver.add(smt.Ult(X, smt.BitVecVal(10, 8)))
+        calls = smt.STATS.sat_invocations
+        preference = smt.Ne(X, smt.BitVecVal(0, 8))
+        verdict = solver.check_preferring([smt.Eq(X, smt.BitVecVal(0, 8))], [preference])
+        assert verdict == CheckResult.SAT
+        assert solver.model()["x"] == 0
+        assert smt.STATS.sat_invocations - calls == 2
+
+    def test_unblamed_preferences_skip_the_retry(self):
+        solver = Solver()
+        solver.add(smt.Ult(X, smt.BitVecVal(10, 8)))
+        calls = smt.STATS.sat_invocations
+        preference = smt.Ne(Y, smt.BitVecVal(0, 8))
+        verdict = solver.check_preferring([smt.Eq(X, smt.BitVecVal(200, 8))], [preference])
+        assert verdict == CheckResult.UNSAT
+        assert smt.STATS.sat_invocations - calls == 1
+
+    def test_restored_phases_reproduce_the_witness(self):
+        solver = Solver()
+        solver.add(smt.Ult(X, smt.BitVecVal(100, 8)))
+        assert solver.check() == CheckResult.SAT
+        first = solver.model()
+        assert solver.check(smt.Ne(X, smt.BitVecVal(first["x"], 8))) == CheckResult.SAT
+        solver.restore_phases(first)
+        assert solver.check() == CheckResult.SAT
+        assert solver.model().values == first.values
+
+
 class TestModelEnumeration:
     def test_enumerate_distinct_models(self):
         constraint = smt.Ult(X, smt.BitVecVal(4, 8))
