@@ -205,7 +205,7 @@ def run_backends() -> dict:
 
     The generator enables the narrowing-cast idiom and raises the
     many-tables burst so the eBPF defect triggers are reachable (the same
-    knobs the detection matrix steers; see ``_MATRIX_STEERING``).
+    knobs the detection matrix steers; see ``MATRIX_STEERING``).
     """
 
     from repro.compiler.bugs import BUG_CATALOG
@@ -323,7 +323,9 @@ def run_hotpath(programs: int) -> dict:
     """Measure the validation hot path: throughput, solver load, cache yield.
 
     One ``jobs=1`` campaign gives the deterministic counters the CI gate
-    ratchets (SAT invocations, bit-blast misses, SAT conflicts); a smaller
+    ratchets (SAT invocations, bit-blast misses, SAT conflicts) and must
+    swallow no failure (zero ``coverage_errors``, ``bisect_link_failures``
+    and oracle errors: its corpus is clean); a smaller
     seeded campaign then runs at ``jobs=1`` and ``jobs=4`` and the two
     report lists must serialize byte-identically — shared-prefix validation
     and batched solving must never leak scheduling into the findings.
@@ -358,12 +360,19 @@ def run_hotpath(programs: int) -> dict:
     byte_identical = seeded_reports(jobs=1) == seeded_reports(jobs=4)
 
     bitblast_misses = counters.get("solver_bitblast_misses", 0)
+    # The corpus is clean, so any swallowed failure is a fault, not noise.
+    clean_errors = {
+        "coverage_errors": counters.get("coverage_errors", 0),
+        "bisect_link_failures": counters.get("bisect_link_failures", 0),
+        "oracle_errors": stats.oracle_errors,
+    }
     meets_target = (
         speedup >= HOTPATH_TARGET_SPEEDUP
         and sat_invocations <= HOTPATH_MAX_SAT_INVOCATIONS
         and bitblast_misses <= HOTPATH_MAX_BITBLAST_MISSES
         and sat_conflicts <= HOTPATH_MAX_SAT_CONFLICTS
         and caches["bitblast"]["hits"] > 0
+        and not any(clean_errors.values())
         and byte_identical
     )
     return {
@@ -384,6 +393,7 @@ def run_hotpath(programs: int) -> dict:
         "batched_checks": counters.get("solver_batched_checks", 0),
         "equivalence_cache_hits": counters.get("solver_equivalence_cache_hits", 0),
         "caches": caches,
+        "clean_errors": clean_errors,
         "reports_byte_identical_jobs1_vs_jobs4": byte_identical,
         "target_speedup": HOTPATH_TARGET_SPEEDUP,
         "meets_target": meets_target,
@@ -1108,7 +1118,8 @@ def main(argv=None) -> int:
             f"{hotpath['bitblast_misses']} bit-blast misses "
             f"(max {hotpath['max_bitblast_misses']}), "
             f"byte-identical jobs 1 vs 4: "
-            f"{hotpath['reports_byte_identical_jobs1_vs_jobs4']}"
+            f"{hotpath['reports_byte_identical_jobs1_vs_jobs4']}, "
+            f"swallowed errors: {hotpath['clean_errors']}"
         )
         for name, entry in hotpath["caches"].items():
             print(

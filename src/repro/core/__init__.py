@@ -29,8 +29,21 @@ from repro.core.crash import CrashFinding, classify_compilation
 from repro.core.campaign import Campaign, CampaignConfig, CampaignStatistics
 from repro.core.engine import CampaignEngine, CampaignSpec, DetectionRecord
 from repro.core.levels import ConformanceLevel, classify_input_level
-from repro.core.reduce import ReductionResult, program_size, reduce_program
-from repro.core.schedule import ARM_CATALOG, ArmProfile, BanditScheduler, KnobArm
+from repro.core.lazy import lazy_exports
+
+# The triage reducer and the knob scheduler load on first use.
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "ReductionResult": "repro.core.reduce.reducer",
+        "program_size": "repro.core.reduce.reducer",
+        "reduce_program": "repro.core.reduce.reducer",
+        "ARM_CATALOG": "repro.core.schedule",
+        "ArmProfile": "repro.core.schedule",
+        "BanditScheduler": "repro.core.schedule",
+        "KnobArm": "repro.core.schedule",
+    },
+)
 
 __all__ = [
     "BugKind",

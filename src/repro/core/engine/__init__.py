@@ -31,8 +31,6 @@ for the distributed service, and ``src/repro/core/README.md`` for the
 architecture overview.
 """
 
-from repro.core.engine.coordinator import CoordinatorService
-from repro.core.engine.distributed import DistributedExecutor
 from repro.core.engine.engine import (
     CampaignEngine,
     CampaignSpec,
@@ -44,7 +42,6 @@ from repro.core.engine.executor import (
     make_executor,
 )
 from repro.core.engine.store import OutcomeDedup
-from repro.core.engine.worker import run_worker
 from repro.core.engine.merge import (
     CampaignStatistics,
     OutcomeMerger,
@@ -63,6 +60,17 @@ from repro.core.engine.units import (
     UnitOutcome,
     WorkUnit,
     build_units,
+)
+from repro.core.lazy import lazy_exports
+
+# The distributed service loads only in campaigns that run a fleet.
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "CoordinatorService": "repro.core.engine.coordinator",
+        "DistributedExecutor": "repro.core.engine.distributed",
+        "run_worker": "repro.core.engine.worker",
+    },
 )
 
 __all__ = [

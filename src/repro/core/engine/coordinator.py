@@ -50,6 +50,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.core.engine import protocol
 from repro.core.engine.store import OutcomeDedup
 from repro.core.engine.units import (
+    DEFAULT_LEASE_TTL_S,
+    DEFAULT_LEASE_UNITS,
     KIND_WORK,
     outcome_from_dict,
     outcome_key,
@@ -57,14 +59,7 @@ from repro.core.engine.units import (
     unit_to_dict,
 )
 
-#: Default service tuning.  The TTL must exceed the worst single-unit wall
-#: time (a divergent program can cost 100x the median): heartbeats renew a
-#: lease between units and while the reducer runs, but a worker stuck
-#: inside one oracle call for longer than the TTL loses the lease.
-#: A work unit is a whole program (every platform of it), so the default
-#: lease is one program.
-DEFAULT_LEASE_UNITS = 1
-DEFAULT_LEASE_TTL_S = 120.0
+#: Default service tuning (the lease defaults live in ``units``).
 DEFAULT_HEARTBEAT_S = 5.0
 DEFAULT_MAX_INFLIGHT_LEASES = 2
 DEFAULT_MAX_OUTSTANDING = 256

@@ -22,19 +22,11 @@ the first detection, sharded *across defects* when ``jobs > 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND, SeededBug
 from repro.core.generator import GeneratorConfig
-from repro.core.schedule import (
-    BanditScheduler,
-    KnobArm,
-    MATRIX_STEERING,
-    choose_arm_for_defect,
-    train_profiles,
-)
 from repro.core.testgen import DEFAULT_SEQUENCE_LENGTH
-from repro.core.engine.distributed import DistributedExecutor
 from repro.core.engine.executor import make_executor
 from repro.core.engine.merge import (
     CampaignStatistics,
@@ -42,7 +34,6 @@ from repro.core.engine.merge import (
     TriageSource,
     apply_triage,
 )
-from repro.core.engine.protocol import parse_address
 from repro.core.engine.store import ArtifactStore, campaign_key, triage_key
 from repro.core.engine.stages import run_unit
 from repro.core.engine.units import (
@@ -55,13 +46,18 @@ from repro.core.engine.units import (
     TriageOutcome,
     TriageUnit,
     UnitOutcome,
+    DEFAULT_LEASE_TTL_S,
+    DEFAULT_LEASE_UNITS,
     WorkUnit,
     build_units,
 )
-from repro.core.engine.coordinator import (
-    DEFAULT_LEASE_TTL_S,
-    DEFAULT_LEASE_UNITS,
-)
+
+if TYPE_CHECKING:
+    from repro.core.schedule import KnobArm
+
+# The fleet (coordinator, distributed, protocol) and the knob scheduler
+# are imported where a campaign uses them: a plain jobs=1 or pool
+# campaign never loads them.
 
 
 @dataclass(frozen=True)
@@ -137,21 +133,22 @@ class _MatrixTask:
     arm_overrides: Tuple[Tuple[str, object], ...] = ()
 
 
-#: Generator steering for the per-defect detection matrix, keyed by trigger
-#: feature (paper §4.2: the generator biases its probabilities towards the
-#: language constructs a defect needs).  An override is applied only while
-#: the campaign generator leaves the corresponding knob at its dataclass
-#: default, so explicitly-configured generators are never second-guessed.
-#: The table itself lives in :mod:`repro.core.schedule` so the knob-arm
-#: catalog can be validated against it without an import cycle; this alias
-#: keeps the engine's historical name.
-_MATRIX_STEERING = MATRIX_STEERING
-
-
 def _steer_generator(generator: GeneratorConfig, bug: SeededBug) -> GeneratorConfig:
+    """Steer the generator towards ``bug``'s trigger features.
+
+    The per-defect detection matrix biases the generator's probabilities
+    towards the language constructs a defect needs (paper §4.2), using the
+    ``MATRIX_STEERING`` table of :mod:`repro.core.schedule`.  An override
+    is applied only while the campaign generator leaves the corresponding
+    knob at its dataclass default, so explicitly-configured generators are
+    never second-guessed.
+    """
+
+    from repro.core.schedule import MATRIX_STEERING
+
     overrides: Dict[str, object] = {}
     for feature in bug.trigger_features:
-        overrides.update(_MATRIX_STEERING.get(feature, {}))
+        overrides.update(MATRIX_STEERING.get(feature, {}))
     defaults = GeneratorConfig.__dataclass_fields__
     applicable = {
         key: value
@@ -184,6 +181,8 @@ def _detect_bug(task: _MatrixTask) -> Dict[str, object]:
     bug = BUG_CATALOG[task.bug_id]
     platform = "p4c" if bug.location != LOCATION_BACKEND else bug.platform
     if task.arm_name:
+        from repro.core.schedule import KnobArm
+
         generator = KnobArm(task.arm_name, task.arm_overrides).apply(task.generator)
     else:
         generator = _steer_generator(task.generator, bug)
@@ -251,7 +250,13 @@ class CampaignEngine:
         if self._executor is not None:
             return self._executor
         spec = self.spec
+        if not spec.serve and spec.distributed <= 0:
+            return make_executor(spec.jobs)
+        from repro.core.engine.distributed import DistributedExecutor
+
         if spec.serve:
+            from repro.core.engine.protocol import parse_address
+
             host, port = parse_address(spec.serve)
             return DistributedExecutor(
                 0,
@@ -260,13 +265,11 @@ class CampaignEngine:
                 lease_units=spec.lease_units,
                 lease_ttl_s=spec.lease_ttl_s,
             )
-        if spec.distributed > 0:
-            return DistributedExecutor(
-                spec.distributed,
-                lease_units=spec.lease_units,
-                lease_ttl_s=spec.lease_ttl_s,
-            )
-        return make_executor(spec.jobs)
+        return DistributedExecutor(
+            spec.distributed,
+            lease_units=spec.lease_units,
+            lease_ttl_s=spec.lease_ttl_s,
+        )
 
     # ------------------------------------------------------------------
     # Full campaign
@@ -387,6 +390,8 @@ class CampaignEngine:
         sequence survives kill/resume unchanged.  Returns the arm that
         generated each program index.
         """
+
+        from repro.core.schedule import BanditScheduler
 
         spec = self.spec
         scheduler = BanditScheduler(seed=spec.generator.seed)
@@ -557,6 +562,8 @@ class CampaignEngine:
         arms: Dict[str, Optional[KnobArm]] = {bug_id: None for bug_id in targets}
         profile_errors: Dict[str, int] = {}
         if schedule:
+            from repro.core.schedule import choose_arm_for_defect, train_profiles
+
             profiles = train_profiles(spec.generator, programs_per_arm=programs_per_arm)
             arms = {
                 bug_id: choose_arm_for_defect(BUG_CATALOG[bug_id], profiles)

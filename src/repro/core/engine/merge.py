@@ -122,7 +122,8 @@ class CampaignStatistics:
     #: tallies, ``coverage_errors``, ``bisect_link_failures``).  Totals
     #: count the work actually performed, so store-resumed outcomes add
     #: nothing; every unit starts from empty term tables, so they do not
-    #: depend on the executor.
+    #: depend on the executor.  ``triage_errors`` (:func:`apply_triage`)
+    #: is the one total that also counts store-resumed triage outcomes.
     counters: Dict[str, int] = field(default_factory=dict)
     #: How many work units the campaign comprised, and how many were
     #: served from the artifact store instead of being recomputed.
@@ -330,9 +331,17 @@ def apply_triage(
     each one decorates its report in place.  An unreproduced reduction
     leaves the report exactly as the merge filed it — the original trigger
     is still correct, just not minimized.
+
+    The exceptions each triage swallowed are summed into
+    ``counters["triage_errors"]``.  Unlike the worker counters, store-resumed
+    outcomes count too: their errors shaped the reports they decorate.
     """
 
-    for outcome in sorted(outcomes, key=lambda entry: entry.identifier):
+    outcomes = sorted(outcomes, key=lambda entry: entry.identifier)
+    statistics.counters["triage_errors"] = statistics.counters.get(
+        "triage_errors", 0
+    ) + sum(outcome.errors for outcome in outcomes)
+    for outcome in outcomes:
         report = statistics.tracker.get(outcome.identifier)
         if report is None or outcome.status != TRIAGE_REDUCED:
             continue

@@ -60,13 +60,9 @@ from repro.core.engine.units import (
     UnitOutcome,
     WorkUnit,
 )
-from repro.core.reduce import (
-    build_predicate,
-    localize_finding,
-    reduce_program,
-)
 from repro.core.reduce.oracles import (
     backend_bug_set,
+    build_predicate,
     p4c_bug_set,
     packet_mismatch,
     replay_stats,
@@ -371,6 +367,10 @@ def run_triage_unit(unit: TriageUnit) -> TriageOutcome:
     ``jobs=8`` triage byte-identically.  Like :func:`run_unit`, it starts
     from empty term tables.
     """
+
+    # The reducer and the localizer load only in processes that triage.
+    from repro.core.reduce.localize import localize_finding
+    from repro.core.reduce.reducer import reduce_program
 
     smt.clear_term_caches()
     start = time.perf_counter()

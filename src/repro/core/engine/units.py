@@ -58,6 +58,17 @@ TRIAGE_UNREPRODUCED = "unreproduced"
 KIND_WORK = "work"
 KIND_TRIAGE = "triage"
 
+#: Default lease of a distributed campaign, in work units and seconds.  A
+#: work unit is a whole program (every platform of it), so the default
+#: lease is one program.  The TTL must exceed the worst single-unit wall
+#: time (a divergent program can cost 100x the median): heartbeats renew a
+#: lease between units and while the reducer runs, but a worker stuck
+#: inside one oracle call for longer than the TTL loses the lease.  They
+#: live here, not in the coordinator, so a campaign spec can name them
+#: without loading the fleet.
+DEFAULT_LEASE_UNITS = 1
+DEFAULT_LEASE_TTL_S = 120.0
+
 
 def unit_key(kind: str, unit) -> object:
     """The dedup identity of a unit (work: program index; triage: id)."""

@@ -28,18 +28,23 @@ and artifact-store machinery as generation units; see
 ``src/repro/core/README.md``.
 """
 
-from repro.core.reduce.localize import localize_finding
+from repro.core.lazy import lazy_exports
 from repro.core.reduce.oracles import build_predicate
-from repro.core.reduce.reducer import (
-    Predicate,
-    ReductionResult,
-    program_size,
-    reduce_program,
-)
-from repro.core.reduce.transforms import (
-    DEFAULT_TRANSFORMS,
-    POLISH_TRANSFORMS,
-    PRIMARY_TRANSFORMS,
+
+# Checking a program needs only the oracles; the reducer, its transforms
+# and the localizer load in the processes that triage.
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "DEFAULT_TRANSFORMS": "repro.core.reduce.transforms",
+        "POLISH_TRANSFORMS": "repro.core.reduce.transforms",
+        "PRIMARY_TRANSFORMS": "repro.core.reduce.transforms",
+        "Predicate": "repro.core.reduce.reducer",
+        "ReductionResult": "repro.core.reduce.reducer",
+        "localize_finding": "repro.core.reduce.localize",
+        "program_size": "repro.core.reduce.reducer",
+        "reduce_program": "repro.core.reduce.reducer",
+    },
 )
 
 __all__ = [

@@ -20,7 +20,7 @@ working tree and keeps mutating it between calls.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set
 
 from repro.compiler import CompilerOptions, compile_front_midend
 from repro.compiler.bugs import BUG_CATALOG, LOCATION_BACKEND
@@ -40,7 +40,9 @@ from repro.core.engine.units import (
     FINDING_INVALID,
     FindingRecord,
 )
-from repro.core.reduce.reducer import Predicate
+
+if TYPE_CHECKING:
+    from repro.core.reduce.reducer import Predicate
 
 #: Monotone replay tallies (merged across workers like the solver stats):
 #: how many §6 sequences and individual packets the campaign actually

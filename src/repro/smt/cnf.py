@@ -10,7 +10,7 @@ the bit-blaster needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 
 @dataclass
@@ -50,8 +50,10 @@ class CnfBuilder:
     def __init__(self) -> None:
         self.cnf = Cnf()
         self._next_var = 1
-        #: gate output variable -> indices of the clauses defining it.
-        self.var_defs: Dict[int, List[int]] = {}
+        #: gate output variable -> indices of the clauses defining it.  A
+        #: gate's clauses are contiguous, so its entry is a ``range``; a
+        #: variable that anchors relational clauses holds a list instead.
+        self.var_defs: Dict[int, Union[range, List[int]]] = {}
         #: indices of top-level (always-asserted) clauses.
         self.root_clauses: List[int] = []
         # A dedicated constant-true variable keeps gate encodings uniform.
@@ -90,11 +92,16 @@ class CnfBuilder:
 
         index = len(self.cnf.clauses)
         self.cnf.add_clause(list(literals))
+        var_defs = self.var_defs
         for var in anchors:
-            self.var_defs.setdefault(var, []).append(index)
+            defs = var_defs.get(var)
+            if isinstance(defs, list):
+                defs.append(index)
+            else:
+                var_defs[var] = [*(defs or ()), index]
 
     def _define(self, var: int, start: int) -> None:
-        self.var_defs[var] = list(range(start, len(self.cnf.clauses)))
+        self.var_defs[var] = range(start, len(self.cnf.clauses))
 
     # -- gate encodings --------------------------------------------------------
 

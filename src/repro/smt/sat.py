@@ -30,12 +30,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
 class SatResult:
     """Outcome of a SAT call: satisfiability plus a model when SAT.
+
+    The model is ``phases``, a packed vector with one byte per variable:
+    ``phases[var]`` is 1 when ``var`` is true and 0 when it is false (byte
+    0 pads the vector so it indexes by variable).  :attr:`assignment`
+    unpacks it into a ``{var: bool}`` dict on demand.
 
     ``complete`` distinguishes a definitive answer from a search the
     ``max_conflicts`` budget cut short: an incomplete result with
@@ -48,9 +54,13 @@ class SatResult:
     """
 
     satisfiable: bool
-    assignment: Dict[int, bool]
+    phases: bytes = b""
     complete: bool = True
     core: List[int] = field(default_factory=list)
+
+    @property
+    def assignment(self) -> Dict[int, bool]:
+        return {var: bool(value) for var, value in enumerate(self.phases) if var}
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.satisfiable
@@ -126,17 +136,18 @@ class SatSolver:
 
     # -- incremental interface ---------------------------------------------
 
-    def set_phases(self, assignment: Dict[int, bool]) -> None:
-        """Make ``assignment`` the saved phases, e.g. an earlier model's.
+    def set_phases(self, phases: bytes) -> None:
+        """Make ``phases`` the saved phases, e.g. an earlier model's.
 
-        The next search then starts from that model, as if it had just been
-        found.  The solver first backtracks to level 0: unassigning the
-        trail saves its own phases, which must not override these.
+        ``phases`` is a packed model of this solver (:attr:`SatResult.phases`),
+        so it covers no variable the solver lacks.  The next search then
+        starts from that model, as if it had just been found.  The solver
+        first backtracks to level 0: unassigning the trail saves its own
+        phases, which must not override these.
         """
 
         self._backtrack(0)
-        for var, value in assignment.items():
-            self.phase[var] = value
+        self.phase[1 : len(phases)] = map(bool, islice(phases, 1, None))
 
     def ensure_num_vars(self, num_vars: int) -> None:
         """Grow the variable space to ``num_vars`` (no-op when smaller)."""
@@ -155,8 +166,14 @@ class SatSolver:
             heappush(self._order, (0.0, var))
         self.num_vars = num_vars
 
-    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
+    def add_clauses(self, clauses: Sequence[List[int]]) -> None:
         """Add input clauses after construction (incremental solving).
+
+        The solver takes ownership of the clause lists: it keeps them
+        without copying, and propagation reorders their literals in place
+        (a clause with a duplicate literal or a tautology is the exception:
+        it is rebuilt or dropped).  Callers that still read a clause after
+        handing it over must not depend on its literal order.
 
         The variable space grows automatically to cover every literal
         (mirroring :class:`~repro.smt.cnf.CnfBuilder`).  The solver
@@ -165,7 +182,6 @@ class SatSolver:
         are discovered on the next :meth:`solve`.
         """
 
-        clauses = [list(clause) for clause in clauses]
         highest = max((abs(lit) for clause in clauses for lit in clause), default=0)
         self.ensure_num_vars(highest)
         self._backtrack(0)
@@ -174,9 +190,9 @@ class SatSolver:
             self._add_clause(clause, learned=False)
 
     def add_clause(self, literals: Sequence[int]) -> None:
-        """Add a single input clause (see :meth:`add_clauses`)."""
+        """Add a copy of one input clause (see :meth:`add_clauses`)."""
 
-        self.add_clauses([literals])
+        self.add_clauses([list(literals)])
 
     # -- construction -----------------------------------------------------
 
@@ -184,17 +200,14 @@ class SatSolver:
         if not literals:
             self.empty_clause = True
             return None
-        # Deduplicate and drop tautologies in input clauses.
+        # Deduplicate and drop tautologies in input clauses; the list is
+        # rebuilt only when it does hold a duplicate literal.
         if not learned:
-            seen = set()
-            out = []
-            for literal in literals:
-                if -literal in seen:
-                    return None  # tautology, always satisfied
-                if literal not in seen:
-                    seen.add(literal)
-                    out.append(literal)
-            literals = out
+            seen = set(literals)
+            if any(-literal in seen for literal in seen):
+                return None  # tautology, always satisfied
+            if len(seen) < len(literals):
+                literals = list(dict.fromkeys(literals))
         clause = _Clause(literals, learned)
         if len(literals) == 1:
             # Unit input clause: enqueue at level 0.
@@ -439,7 +452,7 @@ class SatSolver:
         assumptions = list(assumptions)
         self.ensure_num_vars(max((abs(lit) for lit in assumptions), default=0))
         if self.empty_clause:
-            return SatResult(False, {})
+            return SatResult(False)
 
         # Restart the search from level 0 (a previous call may have left a
         # full assignment or stale assumptions on the trail).
@@ -454,7 +467,7 @@ class SatSolver:
         # Level-0 propagation of unit input clauses.
         if self._propagate() is not None:
             self.empty_clause = True  # conflict at level 0 is permanent
-            return SatResult(False, {})
+            return SatResult(False)
 
         while True:
             conflict = self._propagate()
@@ -464,7 +477,7 @@ class SatSolver:
                 conflicts_since_restart += 1
                 if self.decision_level() == 0:
                     self.empty_clause = True  # permanently UNSAT
-                    return SatResult(False, {})
+                    return SatResult(False)
                 learned, backjump_level = self._analyze(conflict)
                 self._backtrack(backjump_level)
                 clause = _Clause(learned, learned=True)
@@ -477,7 +490,7 @@ class SatSolver:
                 self.var_inc /= self.var_decay
                 if conflict_budget is not None and conflicts_total >= conflict_budget:
                     # Budget exhausted: the answer is unknown, not UNSAT.
-                    return SatResult(False, {}, complete=False)
+                    return SatResult(False, complete=False)
                 if conflicts_since_restart >= restart_limit:
                     conflicts_since_restart = 0
                     restart_index += 1
@@ -498,19 +511,16 @@ class SatSolver:
                     continue
                 if value is False:
                     # UNSAT under these assumptions (not permanently).
-                    return SatResult(False, {}, core=self._analyze_final(literal))
+                    return SatResult(False, core=self._analyze_final(literal))
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(literal, None)
                 continue
 
             decision = self._decide()
             if decision is None:
-                model = {
-                    var: bool(self.assignment[var])
-                    for var in range(1, self.num_vars + 1)
-                    if self.assignment[var] is not None
-                }
-                return SatResult(True, model)
+                # Every variable is assigned: each unassigned one still has
+                # an entry in the order heap, so ``_decide`` would find it.
+                return SatResult(True, bytes([0, *islice(self.assignment, 1, None)]))
             self.trail_lim.append(len(self.trail))
             self._enqueue(decision, None)
 

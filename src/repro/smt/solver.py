@@ -118,9 +118,10 @@ class Model:
     """A satisfying assignment: symbol name -> concrete value."""
 
     values: Dict[str, Value] = field(default_factory=dict)
-    #: The SAT-level assignment the values were read from, in the numbering
+    #: The SAT-level model the values were read from, packed one byte per
+    #: variable (:attr:`~repro.smt.sat.SatResult.phases`) in the numbering
     #: of the solver that found them (see :meth:`Solver.restore_phases`).
-    assignment: Dict[int, bool] = field(default_factory=dict, compare=False, repr=False)
+    assignment: bytes = field(default=b"", compare=False, repr=False)
 
     def __getitem__(self, name: str) -> Value:
         return self.values.get(name, 0)
@@ -193,7 +194,17 @@ class Solver:
             self._sat = SatSolver()
 
     def _sync_clauses(self) -> None:
-        """Feed CNF clauses produced since the last sync to the SAT solver."""
+        """Feed CNF clauses produced since the last sync to the SAT solver.
+
+        The SAT solver takes the builder's clause lists themselves, not
+        copies, and its propagation reorders their literals in place.  The
+        cone extraction of :meth:`decide` reads the same lists, and their
+        literal order fixes the cone instance's search, so one solver must
+        not mix model-building checks with verdict-only decides: each
+        would see the other's reordering.  No caller does: test generation
+        and :func:`find_divergence` only :meth:`check`, and the validator's
+        chain-scoped batch solver only decides.
+        """
 
         assert self._blaster is not None and self._sat is not None
         cnf = self._blaster.builder.cnf
@@ -315,17 +326,18 @@ class Solver:
         if not build_model:
             return CheckResult.SAT
 
+        phases = result.phases
         values: Dict[str, Value] = {}
         for name, bits in self._blaster.symbol_bits().items():
             value = 0
             for index, literal in enumerate(bits):
-                if result.assignment.get(abs(literal), False) == (literal > 0):
+                if phases[abs(literal)] == (literal > 0):
                     value |= 1 << index
             values[name] = value
         for name, literal in self._blaster.bool_symbol_vars().items():
-            values[name] = result.assignment.get(abs(literal), False) == (literal > 0)
+            values[name] = phases[abs(literal)] == (literal > 0)
 
-        model = Model(values, result.assignment)
+        model = Model(values, phases)
         # Sanity check the model against the *original* (unsimplified)
         # constraints: this guards against bit-blasting bugs and against
         # unsound rewrites in the persistent simplifier cache alike.
@@ -423,9 +435,9 @@ class Solver:
     def restore_phases(self, model: Model) -> None:
         """Search next from ``model``, a model this solver found earlier.
 
-        Resets the SAT solver's saved phases to the assignment ``model`` was
-        read from, which leaves the search where it stood just after
-        finding it.
+        Resets the SAT solver's saved phases to the packed assignment
+        ``model`` was read from, which leaves the search where it stood just
+        after finding it.
         """
 
         if self._sat is not None:

@@ -476,24 +476,58 @@ class TestTriageCountsSwallowedErrors:
         assert run_triage_unit(self.crash_unit()).errors == 0
 
     def test_failed_localization_is_counted(self, monkeypatch):
-        from repro.core.engine import stages
+        from repro.core.reduce import localize
 
         def broken(*args, **kwargs):
             raise RuntimeError("localization failed")
 
-        monkeypatch.setattr(stages, "localize_finding", broken)
+        monkeypatch.setattr(localize, "localize_finding", broken)
         outcome = run_triage_unit(self.crash_unit())
         assert outcome.status == TRIAGE_REDUCED
         assert outcome.localized_pass == "StrengthReduction"
         assert outcome.errors == 1
 
+    def test_apply_triage_sums_errors_into_the_counters(self):
+        from repro.core.engine import CampaignStatistics, apply_triage
+
+        statistics = CampaignStatistics()
+        apply_triage(
+            statistics,
+            [
+                TriageOutcome(identifier="p4c:a", status="unreproduced", errors=2),
+                TriageOutcome(identifier="p4c:b", status=TRIAGE_REDUCED, errors=1),
+            ],
+        )
+        assert statistics.counters["triage_errors"] == 3
+
+    def test_campaign_counts_failed_localizations(self, monkeypatch):
+        from repro.core.reduce import localize
+
+        config = CampaignConfig(
+            programs=4,
+            seed=2020,
+            enabled_bugs=("strength_reduction_negative_slice", "constant_folding_no_mask"),
+            platforms=("p4c",),
+            reduce=True,
+        )
+        clean = Campaign(config).run()
+        assert clean.counters["triage_errors"] == 0
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("localization failed")
+
+        monkeypatch.setattr(localize, "localize_finding", broken)
+        stats = Campaign(config).run()
+        assert stats.triage_total == len(stats.tracker) > 0
+        assert stats.counters["triage_errors"] == stats.triage_total
+
     def test_failed_reduction_is_counted(self, monkeypatch):
-        from repro.core.engine import stages
+        from repro.core.reduce import reducer
 
         def broken(*args, **kwargs):
             raise RuntimeError("reduction failed")
 
-        monkeypatch.setattr(stages, "reduce_program", broken)
+        monkeypatch.setattr(reducer, "reduce_program", broken)
         outcome = run_triage_unit(self.crash_unit())
         assert outcome.status == "unreproduced"
         assert outcome.errors == 1
